@@ -104,16 +104,17 @@ const moeFloorFrac = 0.015
 // z95 is the two-sided 95% normal quantile.
 const z95 = 1.96
 
-// RunSampled estimates a run of maxPerThread measured instructions using
-// systematic sampling: ceil(maxPerThread/Detail) units, each measuring one
+// RunSampled measures maxPerThread instructions using systematic
+// sampling: units = ceil(maxPerThread/Detail) units, each measuring one
 // detailed interval and fast-forwarding the remainder of the period
 // functionally, covering units*Period instructions of the leading thread's
-// stream — the same region an exact Run over that budget executes, cold
-// start and all, so the estimate targets the exact run's IPC rather than
-// some idealized steady state. When the processor was built WithWarmup(n),
-// the first n instructions of every thread fast-forward functionally
-// before the first unit. Like Run, RunSampled may be called once per
-// Processor.
+// stream from a cold start. The estimate therefore targets an exact Run
+// over units*Period instructions, transient included, not one over
+// maxPerThread. To estimate an exact run of B instructions, pass
+// ⌊B/Period⌋×Detail: it covers the whole periods that fit in B.
+// When the processor was built WithWarmup(n), the first n instructions of
+// every thread fast-forward functionally before the first unit. Like Run,
+// RunSampled may be called once per Processor.
 func (p *Processor) RunSampled(maxPerThread uint64, sp SampleParams) (Results, error) {
 	if maxPerThread == 0 {
 		return Results{}, fmt.Errorf("core: zero instruction budget")

@@ -80,6 +80,15 @@ type Options struct {
 	// members are therefore always exact measurements; scores settled from
 	// the triage pass carry their margins as metric companions in Values
 	// (metrics.SetMoE), so consumers can see how trustworthy they are.
+	//
+	// A triage run estimates the exact run it stands in for (matched
+	// coverage): it runs units = ⌊Sim.Budget/Period⌋ sampling units of
+	// Detail measured instructions each, covering units×Period ≤
+	// Sim.Budget instructions of the same stream. Only shared runs are
+	// sampled: fairness's alone baselines always run exact at Sim.Budget,
+	// once for both passes. When units < 2 sampling cannot do that more
+	// cheaply than the exact run, so the exact run is the triage estimate
+	// (zero margin) and a promotion is served from the engine's memory.
 	Sample core.SampleParams
 }
 
@@ -173,10 +182,12 @@ type Result struct {
 	Submitted    uint64  `json:"submitted"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
 
-	// Triaged counts candidates first scored from sampled simulations
-	// (Options.Sample); Promoted is the subset whose optimistic estimate
-	// warranted a full re-simulation before settling. Both zero on exact
-	// runs.
+	// Triaged counts every charged candidate whenever Options.Sample is
+	// enabled: each is first scored from its triage pass, sampled at
+	// matched coverage or, in the fallback, exact. Promoted is the subset
+	// whose optimistic estimate warranted an exact run before settling (in
+	// the fallback, the same request again, served from memory). Both zero
+	// on exact runs.
 	Triaged  int `json:"triaged,omitempty"`
 	Promoted int `json:"promoted,omitempty"`
 
@@ -469,14 +480,20 @@ func (s *evalState) evaluate(ctx context.Context, pts []Point) ([]Score, error) 
 // shared run plus — when an objective's metric needs them — one alone-run
 // baseline per benchmark (AloneRequest on the ForThreads-normalized
 // configuration, like the shared run, so keys match across callers).
-// sampled selects the sampled triage pass; the settle pass always runs
+// triage selects the triage pass: the shared run is sampled at matched
+// coverage, or exact when fewer than two sampling units fit (see
+// Options.Sample). Alone runs are always exact over the full budget, so
+// the triage and settle passes share them. The settle pass always runs
 // exact, whatever the caller put in Options.Sim.
-func (s *evalState) submitCells(ctx context.Context, cand Candidate, sampled bool) ([]cellTickets, error) {
-	simOpt := s.opts.Sim
-	if sampled {
-		simOpt.Sample = s.opts.Sample
-	} else {
-		simOpt.Sample = core.SampleParams{}
+func (s *evalState) submitCells(ctx context.Context, cand Candidate, triage bool) ([]cellTickets, error) {
+	exact := s.opts.Sim
+	exact.Sample = core.SampleParams{}
+	simOpt := exact
+	if triage {
+		if units := simOpt.Budget / s.opts.Sample.Period; units >= 2 {
+			simOpt.Sample = s.opts.Sample
+			simOpt.Budget = units * s.opts.Sample.Detail
+		}
 	}
 	var cells []cellTickets
 	for _, w := range s.space.Workloads {
@@ -490,7 +507,7 @@ func (s *evalState) submitCells(ctx context.Context, cand Candidate, sampled boo
 		}
 		if s.needsAlone {
 			for b := range w.Benchmarks {
-				tk, err := s.submit(ctx, sim.AloneRequest(req.Cfg, w, b, simOpt))
+				tk, err := s.submit(ctx, sim.AloneRequest(req.Cfg, w, b, exact))
 				if err != nil {
 					return nil, err
 				}
@@ -520,7 +537,7 @@ func (s *evalState) submit(ctx context.Context, req engine.Request) (*engine.Tic
 
 // settleJob produces one candidate's settled score. On exact runs it just
 // assembles the simulations' metrics. Under the sampled triage policy
-// (Options.Sample) the charged cells were sampled estimates: the score is
+// (Options.Sample) the charged cells were triage estimates: the score is
 // assembled with its margins, and when its optimistic bound could displace
 // the scalar incumbent or enter the archive, the candidate is re-simulated
 // in full and the exact score settles instead — the coarse pass spends the

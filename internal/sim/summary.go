@@ -65,10 +65,10 @@ func Summarize(figs map[workload.Type]FigResult) (Summary, error) {
 	for t, f := range figs {
 		m8 := heurOverall(f, "M8")
 
-		bestHetPA, bestHetName := 0.0, ""
+		bestHetPA := 0.0
 		for _, name := range heterogeneous {
 			if pa := heurOverall(f, name) / areaOf(name); pa > bestHetPA {
-				bestHetPA, bestHetName = pa, name
+				bestHetPA = pa
 			}
 		}
 		bestHomoPA := 0.0
@@ -77,7 +77,6 @@ func Summarize(figs map[workload.Type]FigResult) (Summary, error) {
 				bestHomoPA = pa
 			}
 		}
-		_ = bestHetName
 		m8PA := m8 / areaOf("M8")
 		vsMono = append(vsMono, bestHetPA/m8PA)
 		vsHomo = append(vsHomo, bestHetPA/bestHomoPA)
