@@ -62,8 +62,10 @@ type Options struct {
 	Telemetry *telemetry.Registry
 	// Tracer, when non-nil, records per-job lifecycle spans — queue wait,
 	// store lookup, simulate, journal append, plus memo-hit/coalesce
-	// instants — for Chrome trace_event export. Nil (the default) records
-	// nothing and costs one pointer comparison per site.
+	// instants — for Chrome trace_event export. Each span is timed once
+	// and the same start/end also goes to the submitting request's
+	// JobTrace. Nil (the default) records nothing and, with no JobTrace
+	// bound, costs two pointer comparisons per site.
 	Tracer *telemetry.Tracer
 	// Log receives the engine's structured records (corrupt store
 	// entries, journal healing, runner panics), each carrying the
@@ -373,12 +375,7 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Ticket, error) {
 	if res, ok := sh.memo[key]; ok {
 		sh.mu.Unlock()
 		e.tel.memoHits.Inc()
-		if e.tracer.Enabled() {
-			e.tracer.Instant(0, "memo-hit", "engine", traceArgs(req, key))
-		}
-		if jt != nil {
-			jt.Mark(pspan, "memo-hit", "engine", traceArgs(req, key))
-		}
+		e.instant(jt, pspan, "memo-hit", req, key)
 		t := &task{done: make(chan struct{})}
 		t.resolve(res, nil)
 		return &Ticket{t: t, hit: true}, nil
@@ -387,14 +384,9 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Ticket, error) {
 		t.waiters = append(t.waiters, ctx)
 		sh.mu.Unlock()
 		e.tel.coalesced.Inc()
-		if e.tracer.Enabled() {
-			e.tracer.Instant(0, "coalesce", "engine", traceArgs(req, key))
-		}
 		// The execution spans land in the creator's trace; this submitter's
 		// trace records that its work was coalesced onto it.
-		if jt != nil {
-			jt.Mark(pspan, "coalesce", "engine", traceArgs(req, key))
-		}
+		e.instant(jt, pspan, "coalesce", req, key)
 		return &Ticket{t: t}, nil
 	}
 	t := &task{
@@ -521,6 +513,36 @@ func traceArgs(req Request, key string) map[string]string {
 	}
 }
 
+// span records one engine span, measured once from start to now, in
+// both trace sinks: the process Tracer on worker track tid and the
+// submitting request's JobTrace. labeled attaches traceArgs. Both sinks
+// off costs two pointer comparisons.
+func (e *Engine) span(t *task, tid int, name string, start time.Time, labeled bool) {
+	if !e.tracer.Enabled() && t.jt == nil {
+		return
+	}
+	end := time.Now()
+	var args map[string]string
+	if labeled {
+		args = traceArgs(t.req, t.key)
+	}
+	e.tracer.Complete(tid, name, "engine", start, end, args)
+	t.jt.Add(t.pspan, name, "engine", start, end, args)
+}
+
+// instant records a submit-side point event (memo hit, coalesce join) at
+// one timestamp in both trace sinks: an instant on the Tracer's submit
+// track and a zero-duration span in the submitter's JobTrace.
+func (e *Engine) instant(jt *telemetry.JobTrace, pspan, name string, req Request, key string) {
+	if !e.tracer.Enabled() && jt == nil {
+		return
+	}
+	now := time.Now()
+	args := traceArgs(req, key)
+	e.tracer.Instant(0, name, "engine", now, args)
+	jt.Add(pspan, name, "engine", now, now, args)
+}
+
 // execute runs one task: disk store first, then the runner; successes are
 // stored, journaled and handed to every waiter. The simulation itself runs
 // under the engine's context — a submitter's cancellation skips the task
@@ -530,16 +552,11 @@ func (e *Engine) execute(sh *shard, t *task, w int) {
 		return
 	}
 	tid := w + 1
-	if e.tracer.Enabled() {
-		e.tracer.Complete(tid, "queue-wait", "engine", t.created, time.Now(), nil)
-	}
-	t.jt.Add(t.pspan, "queue-wait", "engine", t.created, time.Now(), nil)
+	e.span(t, tid, "queue-wait", t.created, false)
 	if e.store != nil {
-		sp := e.tracer.Begin(tid, "store-lookup", "engine")
 		lookupStart := time.Now()
 		res, ok, err := e.store.load(t.key)
-		sp.End()
-		t.jt.Add(t.pspan, "store-lookup", "engine", lookupStart, time.Now(), nil)
+		e.span(t, tid, "store-lookup", lookupStart, false)
 		switch {
 		case err != nil:
 			// A corrupt or unreadable entry is a counted, logged event —
@@ -555,11 +572,9 @@ func (e *Engine) execute(sh *shard, t *task, w int) {
 				// A cache-served job still completes this sweep's cell;
 				// journal it so the checkpoint stays self-contained even
 				// if the cache directory later disappears.
-				jsp := e.tracer.Begin(tid, "journal-append", "engine")
 				jstart := time.Now()
 				_ = e.journal.append(t.key, res)
-				jsp.End()
-				t.jt.Add(t.pspan, "journal-append", "engine", jstart, time.Now(), nil)
+				e.span(t, tid, "journal-append", jstart, false)
 			}
 			e.finish(sh, t, res, nil)
 			e.tel.jobSeconds.Observe(time.Since(t.created).Seconds())
@@ -567,15 +582,9 @@ func (e *Engine) execute(sh *shard, t *task, w int) {
 		}
 	}
 
-	sp := e.tracer.Begin(tid, "simulate", "engine")
 	simStart := time.Now()
 	res, err := e.simulate(t)
-	if e.tracer.Enabled() {
-		sp.EndWith(traceArgs(t.req, t.key))
-	}
-	if t.jt != nil {
-		t.jt.Add(t.pspan, "simulate", "engine", simStart, time.Now(), traceArgs(t.req, t.key))
-	}
+	e.span(t, tid, "simulate", simStart, true)
 	e.tel.executed.Inc()
 	if err != nil {
 		e.tel.errors.Inc()
@@ -587,11 +596,9 @@ func (e *Engine) execute(sh *shard, t *task, w int) {
 		_ = e.store.save(t.key, res)
 	}
 	if e.journal != nil {
-		jsp := e.tracer.Begin(tid, "journal-append", "engine")
 		jstart := time.Now()
 		_ = e.journal.append(t.key, res)
-		jsp.End()
-		t.jt.Add(t.pspan, "journal-append", "engine", jstart, time.Now(), nil)
+		e.span(t, tid, "journal-append", jstart, false)
 	}
 	e.finish(sh, t, res, nil)
 	e.tel.jobSeconds.Observe(time.Since(t.created).Seconds())

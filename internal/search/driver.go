@@ -87,8 +87,8 @@ type Options struct {
 	// Sim.Budget instructions of the same stream. Only shared runs are
 	// sampled: fairness's alone baselines always run exact at Sim.Budget,
 	// once for both passes. When units < 2 sampling cannot do that more
-	// cheaply than the exact run, so the exact run is the triage estimate
-	// (zero margin) and a promotion is served from the engine's memory.
+	// cheaply than the exact run, so the exact run is the triage estimate:
+	// its score is already exact and settles without a promotion.
 	Sample core.SampleParams
 }
 
@@ -185,9 +185,9 @@ type Result struct {
 	// Triaged counts every charged candidate whenever Options.Sample is
 	// enabled: each is first scored from its triage pass, sampled at
 	// matched coverage or, in the fallback, exact. Promoted is the subset
-	// whose optimistic estimate warranted an exact run before settling (in
-	// the fallback, the same request again, served from memory). Both zero
-	// on exact runs.
+	// whose sampled estimate warranted an exact run before settling; an
+	// exact fallback triage never promotes, so Promoted stays zero. Both
+	// zero on exact runs.
 	Triaged  int `json:"triaged,omitempty"`
 	Promoted int `json:"promoted,omitempty"`
 
@@ -490,7 +490,7 @@ func (s *evalState) submitCells(ctx context.Context, cand Candidate, triage bool
 	exact.Sample = core.SampleParams{}
 	simOpt := exact
 	if triage {
-		if units := simOpt.Budget / s.opts.Sample.Period; units >= 2 {
+		if units := s.triageUnits(); units >= 2 {
 			simOpt.Sample = s.opts.Sample
 			simOpt.Budget = units * s.opts.Sample.Detail
 		}
@@ -519,6 +519,13 @@ func (s *evalState) submitCells(ctx context.Context, cand Candidate, triage bool
 	return cells, nil
 }
 
+// triageUnits is the number of sampling units a triage run covers: the
+// whole sampling periods that fit in the exact run's budget. Below 2 the
+// triage pass runs exact (see Options.Sample).
+func (s *evalState) triageUnits() uint64 {
+	return s.opts.Sim.Budget / s.opts.Sample.Period
+}
+
 // submit sends one request to the engine and attributes its cache fate to
 // this search.
 func (s *evalState) submit(ctx context.Context, req engine.Request) (*engine.Ticket, error) {
@@ -541,14 +548,16 @@ func (s *evalState) submit(ctx context.Context, req engine.Request) (*engine.Tic
 // assembled with its margins, and when its optimistic bound could displace
 // the scalar incumbent or enter the archive, the candidate is re-simulated
 // in full and the exact score settles instead — the coarse pass spends the
-// search budget, the accurate pass is reserved for points that matter.
+// search budget, the accurate pass is reserved for points that matter. A
+// triage pass that fell back to exact runs settles as it is.
 func (s *evalState) settleJob(ctx context.Context, j job) (Score, error) {
 	sc, err := s.assembleScore(ctx, j)
 	if err != nil || !s.opts.Sample.Enabled() {
 		return sc, err
 	}
 	s.res.Triaged++
-	if !s.promotable(sc) {
+	if s.triageUnits() < 2 || !s.promotable(sc) {
+		// An exact fallback triage is already the settled score.
 		return sc, nil
 	}
 	s.res.Promoted++

@@ -244,6 +244,14 @@ func TestSampledTriageFallback(t *testing.T) {
 				t.Errorf("cost %d evaluations / %d simulations, exact search %d / %d",
 					res.Evaluations, res.Simulations, exact.Evaluations, exact.Simulations)
 			}
+			// An exact triage score is final: no promotion resubmits it.
+			if res.Promoted != 0 {
+				t.Errorf("promoted %d exact triage scores, want 0", res.Promoted)
+			}
+			if res.Submitted != exact.Submitted || res.CacheHitRate != exact.CacheHitRate {
+				t.Errorf("submitted %d (hit rate %v), exact search %d (%v)",
+					res.Submitted, res.CacheHitRate, exact.Submitted, exact.CacheHitRate)
+			}
 			if _, err := json.Marshal(res); err != nil {
 				t.Error(err)
 			}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hdsmt/internal/obslog"
+	"hdsmt/internal/telemetry"
 )
 
 // Event is one entry in a job's timeline: every lifecycle transition the
@@ -63,15 +64,9 @@ func terminalEvent(typ string) bool {
 
 // journaledEvent reports whether typ is durable: high-frequency progress
 // and front-update events stay in the in-memory ring; everything else
-// appends to the job journal so replayed jobs keep their timeline.
-// Evicted is excluded because the journal's eviction record already
-// erases the job from replay.
+// is journaled so replayed jobs keep their timeline.
 func journaledEvent(typ string) bool {
-	switch typ {
-	case EventProgress, EventFrontUpdate, EventEvicted:
-		return false
-	}
-	return true
+	return typ != EventProgress && typ != EventFrontUpdate
 }
 
 // timeline is one job's bounded event ring plus its live subscribers.
@@ -86,10 +81,7 @@ type timeline struct {
 
 	mu      sync.Mutex
 	created time.Time
-	buf     []Event // ring storage, len == cap once full
-	cap     int
-	start   int   // index of the oldest retained event
-	count   int   // retained events
+	events  telemetry.Ring[Event]
 	seq     int64 // last assigned sequence number
 	closed  bool  // a terminal event was appended
 	subs    map[chan struct{}]struct{}
@@ -99,7 +91,11 @@ func newTimeline(created time.Time, capacity int) *timeline {
 	if capacity <= 0 {
 		capacity = defaultTimelineCap
 	}
-	return &timeline{created: created, cap: capacity, subs: map[chan struct{}]struct{}{}}
+	return &timeline{
+		created: created,
+		events:  telemetry.NewRing[Event](capacity),
+		subs:    map[chan struct{}]struct{}{},
+	}
 }
 
 const defaultTimelineCap = 512
@@ -134,15 +130,9 @@ func (tl *timeline) restore(ev Event) {
 
 // push appends under tl.mu: ring insert, close-on-terminal, notify.
 func (tl *timeline) push(ev Event) {
-	if len(tl.buf) < tl.cap {
-		tl.buf = append(tl.buf, ev)
-		tl.count++
-	} else {
-		// Full: overwrite the oldest. The accepted→settled spine stays
-		// readable as long as cap exceeds the job's progress chatter.
-		tl.buf[tl.start] = ev
-		tl.start = (tl.start + 1) % tl.cap
-	}
+	// Full: the oldest event falls out. The accepted→settled spine stays
+	// readable as long as cap exceeds the job's progress chatter.
+	tl.events.Push(ev)
 	if terminalEvent(ev.Type) && !tl.neverClose {
 		tl.closed = true
 	}
@@ -160,9 +150,8 @@ func (tl *timeline) after(seq int64) ([]Event, bool) {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
 	var out []Event
-	for i := 0; i < tl.count; i++ {
-		ev := tl.buf[(tl.start+i)%len(tl.buf)]
-		if ev.Seq > seq {
+	for i := 0; i < tl.events.Len(); i++ {
+		if ev := tl.events.At(i); ev.Seq > seq {
 			out = append(out, ev)
 		}
 	}
@@ -184,17 +173,27 @@ func (tl *timeline) subscribe() (ch chan struct{}, cancel func()) {
 	}
 }
 
-// event appends one timeline event to j — and, stamped with the job ID,
-// to the server-wide feed — and journals the durable types. It is the
-// single place job history is recorded, mirroring settle for state.
-func (s *Server) event(j *job, typ, detail string) {
+// event records one transition of j: it appends the timeline event to j
+// — and, stamped with the job ID, to the server-wide feed — and journals
+// it. It is the single place job history is recorded. rec is the state
+// record of a transition that changes the job's durable state (accepted,
+// running, done/failed/canceled, interrupted, evicted): the timeline
+// event rides in it, so the state and its timeline entry land in one
+// append that a crash cannot split. A nil rec journals a durable event as
+// a bare "timeline" record.
+func (s *Server) event(j *job, typ, detail string, rec *jobEvent) {
 	ev := j.tl.append(typ, detail, "")
 	s.feed.append(typ, detail, j.id)
 	s.jobEvents.Inc()
-	if journaledEvent(typ) {
-		if err := s.jj.append(jobEvent{ID: j.id, Event: "timeline", TL: &ev}); err != nil {
-			j.log.Warn("journaling timeline event failed", obslog.Err(err), obslog.F("type", typ))
+	if rec == nil {
+		if !journaledEvent(typ) {
+			return
 		}
+		rec = &jobEvent{Event: "timeline"}
+	}
+	rec.ID, rec.TL = j.id, &ev
+	if err := s.jj.append(*rec); err != nil {
+		j.log.Error("journaling event failed", obslog.Err(err), obslog.F("type", typ))
 	}
 }
 

@@ -12,13 +12,13 @@ import (
 	"hdsmt/internal/retry"
 )
 
-// The job journal makes the server's job table durable: every state
-// transition appends one JSONL event, so a daemon killed at any instant
+// The job journal makes the server's job table durable: every job
+// transition appends one JSONL record, so a daemon killed at any instant
 // can replay the file and account for every job it ever accepted. It is
 // the same crash-safe substrate as the engine's checkpoint journal
 // (internal/jsonl) — a torn final line is counted, skipped and healed.
 //
-// Event vocabulary, in a job's lifecycle order:
+// Record vocabulary, in a job's lifecycle order:
 //
 //	accepted    — spec admitted; carries the full JobSpec, tenant, created
 //	running     — execution began
@@ -27,14 +27,22 @@ import (
 //	canceled    — settled by explicit cancellation
 //	interrupted — a restarted daemon found the job unfinished and could
 //	              not resume it; terminal, inspectable via GET /jobs/{id}
-//	evicted     — DELETE released a settled job; replay drops it
-//	timeline    — one durable timeline event (see events.go); replay
-//	              restores it into the job's in-memory ring
+//	evicted     — DELETE released a settled job, or admission rejected a
+//	              new one; replay drops it
+//	timeline    — a durable step with no state change (queued, admitted,
+//	              canceled, retried)
+//
+// Any record may carry tl, the transition's timeline event (see
+// events.go): a state change and its timeline entry are one append, so a
+// crash cannot keep one without the other. Replay applies a record's
+// state effect, then restores its tl into the job's in-memory ring.
+// Journals that wrote every timeline event as its own "timeline" record
+// replay unchanged.
 type jobEvent struct {
 	ID    string `json:"id"`
 	Event string `json:"event"`
 
-	// accepted events only.
+	// accepted records only.
 	Tenant      string   `json:"tenant,omitempty"`
 	Priority    int      `json:"priority,omitempty"`
 	Spec        *JobSpec `json:"spec,omitempty"`
@@ -42,13 +50,12 @@ type jobEvent struct {
 	RequestID   string   `json:"request_id,omitempty"`
 	Traceparent string   `json:"traceparent,omitempty"`
 
-	// settle events only.
+	// settle and interrupted records only.
 	Error    string          `json:"error,omitempty"`
 	Result   json.RawMessage `json:"result,omitempty"`
 	Finished string          `json:"finished,omitempty"`
 
-	// timeline events only: one durable entry of the job's event timeline
-	// (see events.go), replayed into the in-memory ring on restart.
+	// TL is the durable timeline event of the transition, on any record.
 	TL *Event `json:"tl,omitempty"`
 }
 

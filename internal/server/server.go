@@ -534,13 +534,6 @@ func (s *Server) replay(events []jobEvent) {
 			if _, err := fmt.Sscanf(ev.ID, "job-%d", &n); err == nil && n > s.nextID {
 				s.nextID = n
 			}
-		case "timeline":
-			// Durable timeline events re-populate the ring with their
-			// original sequence numbers and relative timestamps, so a
-			// restarted daemon still serves the accepted→… history.
-			if j, ok := s.jobs[ev.ID]; ok && ev.TL != nil {
-				j.tl.restore(*ev.TL)
-			}
 		case "running":
 			if j, ok := s.jobs[ev.ID]; ok {
 				j.state = "running"
@@ -558,6 +551,14 @@ func (s *Server) replay(events []jobEvent) {
 			}
 		case "evicted":
 			delete(s.jobs, ev.ID)
+		}
+		// Any record may carry its durable timeline event; it re-enters
+		// the ring after the record's state effect, with its original
+		// sequence number and relative timestamp, so a restarted daemon
+		// still serves the accepted→… history. Older journals wrote it
+		// in a separate "timeline" record, which replays the same way.
+		if j, ok := s.jobs[ev.ID]; ok && ev.TL != nil {
+			j.tl.restore(*ev.TL)
 		}
 	}
 
@@ -594,7 +595,7 @@ func (s *Server) resume(j *job) {
 	j.cancel = cancel
 	j.total = opts.Budget
 	s.recovered.With("resumed").Inc()
-	s.event(j, EventRetried, "resumed from archive after daemon restart")
+	s.event(j, EventRetried, "resumed from archive after daemon restart", nil)
 	j.log.Info("job resumed after restart", obslog.F("archive", j.spec.Archive))
 	s.adm.adopt(j.tenant)
 	s.wg.Add(1)
@@ -609,10 +610,8 @@ func (s *Server) interrupt(j *job) {
 	j.errmsg = "daemon restarted while the job was unfinished; not resumable"
 	j.finished = time.Now()
 	s.recovered.With("interrupted").Inc()
-	s.event(j, EventInterrupted, j.errmsg)
-	if err := s.jj.append(jobEvent{ID: j.id, Event: "interrupted", Error: j.errmsg, Finished: rfc3339(j.finished)}); err != nil {
-		j.log.Error("journaling interrupt failed", obslog.Err(err))
-	}
+	s.event(j, EventInterrupted, j.errmsg,
+		&jobEvent{Event: "interrupted", Error: j.errmsg, Finished: rfc3339(j.finished)})
 }
 
 // Drain stops accepting jobs (submissions get 503) and waits until every
@@ -1114,24 +1113,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// goroutine appends "running" and replay refuses events for unknown
 	// jobs, so ordering here is what makes the journal replayable. A
 	// rejected submission is erased with an eviction event below.
-	s.journalAccepted(j)
-	s.event(j, EventAccepted, spec.Kind)
+	s.event(j, EventAccepted, spec.Kind, &jobEvent{
+		Event:       "accepted",
+		Tenant:      j.tenant,
+		RequestID:   j.requestID,
+		Traceparent: j.trace.Context().Traceparent(),
+		Priority:    j.spec.Priority,
+		Spec:        &j.spec,
+		Created:     rfc3339(j.created),
+	})
 	launch := func() {
 		// The admission span covers acceptance to slot grant — for a
 		// queued job, the time spent waiting behind the active set.
 		j.trace.Add("", "admission", "server", j.created, time.Now(), nil)
-		s.event(j, EventAdmitted, "")
+		s.event(j, EventAdmitted, "", nil)
 		go s.runJob(ctx, j, body)
 	}
-	queued := func() { s.event(j, EventQueued, "awaiting an active slot") }
+	queued := func() { s.event(j, EventQueued, "awaiting an active slot", nil) }
 	if err := s.adm.admitOr(tenant, spec.Priority, launch, queued); err != nil {
 		if archivePath != "" {
 			s.unclaimArchive(archivePath)
 		}
 		s.dropJob(j)
-		if jerr := s.jj.append(jobEvent{ID: j.id, Event: "evicted"}); jerr != nil {
-			j.log.Error("journaling rejection failed", obslog.Err(jerr))
-		}
+		s.event(j, EventEvicted, "rejected: "+err.Error(), &jobEvent{Event: "evicted"})
 		var ae *admissionError
 		if errors.As(err, &ae) {
 			s.rejected.With(ae.reason).Inc()
@@ -1230,21 +1234,6 @@ func (s *Server) dropJob(j *job) {
 	j.cancel()
 }
 
-func (s *Server) journalAccepted(j *job) {
-	if err := s.jj.append(jobEvent{
-		ID:          j.id,
-		Event:       "accepted",
-		Tenant:      j.tenant,
-		RequestID:   j.requestID,
-		Traceparent: j.trace.Context().Traceparent(),
-		Priority:    j.spec.Priority,
-		Spec:        &j.spec,
-		Created:     rfc3339(j.created),
-	}); err != nil {
-		j.log.Error("journaling accept failed", obslog.Err(err))
-	}
-}
-
 // runJob is the one execution wrapper every job goes through: it marks
 // the job running, executes body with panic containment — a panicking
 // job settles as failed and is counted, the daemon survives — and hands
@@ -1274,10 +1263,7 @@ func (s *Server) markRunning(j *job) {
 	j.state = "running"
 	j.started = time.Now()
 	j.mu.Unlock()
-	s.event(j, EventStarted, "")
-	if err := s.jj.append(jobEvent{ID: j.id, Event: "running"}); err != nil {
-		j.log.Error("journaling start failed", obslog.Err(err))
-	}
+	s.event(j, EventStarted, "", &jobEvent{Event: "running"})
 }
 
 // settle is the single settlement point: state transition, journal
@@ -1303,7 +1289,7 @@ func (s *Server) settle(ctx context.Context, j *job, result any, err error) {
 		j.state = "failed"
 		j.errmsg = err.Error()
 	}
-	ev := jobEvent{ID: j.id, Event: j.state, Error: j.errmsg, Finished: rfc3339(j.finished)}
+	ev := jobEvent{Event: j.state, Error: j.errmsg, Finished: rfc3339(j.finished)}
 	dur := j.finished.Sub(j.created)
 	kind, tenant, state, errmsg := j.spec.Kind, j.tenant, j.state, j.errmsg
 	started := j.started
@@ -1324,15 +1310,12 @@ func (s *Server) settle(ctx context.Context, j *job, result any, err error) {
 	if errmsg != "" {
 		detail = state + ": " + errmsg
 	}
-	s.event(j, EventSettled, detail)
+	s.event(j, EventSettled, detail, &ev)
 	if state == "done" {
 		j.log.Info("job settled", obslog.F("state", state), obslog.F("kind", kind))
 	} else {
 		j.log.Warn("job settled", obslog.F("state", state), obslog.F("kind", kind),
 			obslog.F("err", errmsg))
-	}
-	if jerr := s.jj.append(ev); jerr != nil {
-		j.log.Error("journaling settlement failed", obslog.Err(jerr))
 	}
 	s.jobInflight.Dec()
 	s.jobSeconds.With(kind).Observe(dur.Seconds())
@@ -1354,7 +1337,7 @@ func (s *Server) cellsBody(ctx context.Context, j *job, cells []sim.SweepCell) (
 		j.mu.Lock()
 		j.done = 1
 		j.mu.Unlock()
-		s.event(j, EventProgress, "1/1")
+		s.event(j, EventProgress, "1/1", nil)
 		return result, nil
 	case "evaluate":
 		result, err := s.runner.Evaluate(ctx, cells[0].Cfg, cells[0].W, opt)
@@ -1364,7 +1347,7 @@ func (s *Server) cellsBody(ctx context.Context, j *job, cells []sim.SweepCell) (
 		j.mu.Lock()
 		j.done = 1
 		j.mu.Unlock()
-		s.event(j, EventProgress, "1/1")
+		s.event(j, EventProgress, "1/1", nil)
 		return result, nil
 	default: // sweep
 		ms, err := s.runner.EvaluateAll(ctx, cells, opt, func(done int) {
@@ -1372,7 +1355,7 @@ func (s *Server) cellsBody(ctx context.Context, j *job, cells []sim.SweepCell) (
 			j.done = done
 			total := j.total
 			j.mu.Unlock()
-			s.event(j, EventProgress, fmt.Sprintf("%d/%d", done, total))
+			s.event(j, EventProgress, fmt.Sprintf("%d/%d", done, total), nil)
 		})
 		if err != nil {
 			return nil, err
@@ -1414,14 +1397,14 @@ func (s *Server) searchBody(ctx context.Context, j *job, sp search.Space, st sea
 		j.done = done
 		j.total = total // the driver's effective target: min(budget, space)
 		j.mu.Unlock()
-		s.event(j, EventProgress, fmt.Sprintf("%d/%d", done, total))
+		s.event(j, EventProgress, fmt.Sprintf("%d/%d", done, total), nil)
 	}
 	opts.FrontProgress = func(front []search.TrajectoryPoint, hv float64) {
 		j.mu.Lock()
 		j.front = front
 		j.hv = hv
 		j.mu.Unlock()
-		s.event(j, EventFrontUpdate, fmt.Sprintf("size=%d hv=%.6g", len(front), hv))
+		s.event(j, EventFrontUpdate, fmt.Sprintf("size=%d hv=%.6g", len(front), hv), nil)
 	}
 	return search.NewDriver(s.runner).Search(ctx, sp, st, opts)
 }
@@ -1512,7 +1495,7 @@ func (s *Server) handleCancelPost(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, fmt.Errorf("job already settled (%s)", state))
 		return
 	}
-	s.event(j, EventCanceled, "cancellation requested")
+	s.event(j, EventCanceled, "cancellation requested", nil)
 	j.cancel()
 	writeJSON(w, http.StatusAccepted, j.status())
 }
@@ -1534,12 +1517,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		delete(s.jobs, j.id)
 		s.mu.Unlock()
-		s.event(j, EventEvicted, "")
-		if err := s.jj.append(jobEvent{ID: j.id, Event: "evicted"}); err != nil {
-			j.log.Error("journaling eviction failed", obslog.Err(err))
-		}
+		s.event(j, EventEvicted, "", &jobEvent{Event: "evicted"})
 	} else {
-		s.event(j, EventCanceled, "cancellation requested")
+		s.event(j, EventCanceled, "cancellation requested", nil)
 		j.cancel()
 	}
 	writeJSON(w, http.StatusOK, j.status())

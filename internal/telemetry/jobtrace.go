@@ -42,12 +42,9 @@ type SpanRecord struct {
 type JobTrace struct {
 	tc   TraceContext
 	base time.Time
-	cap  int
 
 	mu      sync.Mutex
-	buf     []SpanRecord // ring storage, len == cap once full
-	start   int          // index of the oldest retained span
-	count   int
+	spans   Ring[SpanRecord]
 	seq     uint64 // span-ID sequence within this trace
 	dropped uint64
 }
@@ -59,7 +56,7 @@ func NewJobTrace(tc TraceContext, capacity int) *JobTrace {
 	if capacity <= 0 {
 		capacity = DefaultJobTraceCap
 	}
-	return &JobTrace{tc: tc, base: time.Now(), cap: capacity}
+	return &JobTrace{tc: tc, base: time.Now(), spans: NewRing[SpanRecord](capacity)}
 }
 
 // Context returns the trace identity (trace ID + the client's root span
@@ -116,28 +113,12 @@ func (jt *JobTrace) AddWithID(id, parent, name, cat string, start, end time.Time
 		Args:     args,
 	}
 	jt.mu.Lock()
-	if len(jt.buf) < jt.cap {
-		jt.buf = append(jt.buf, rec)
-		jt.count++
-	} else {
-		// Ring full: evict the oldest span, count the drop. The newest
-		// spans are the ones an operator debugging a live job needs.
-		jt.buf[jt.start] = rec
-		jt.start = (jt.start + 1) % jt.cap
+	// Full: the oldest span falls out and is counted. The newest spans
+	// are the ones an operator debugging a live job needs.
+	if jt.spans.Push(rec) {
 		jt.dropped++
 	}
 	jt.mu.Unlock()
-}
-
-// Mark records an instantaneous span (zero duration) — memo hits and
-// coalesce joins, which have no extent but matter to "where did the time
-// go" (they explain where it did not have to).
-func (jt *JobTrace) Mark(parent, name, cat string, args map[string]string) {
-	if jt == nil {
-		return
-	}
-	now := time.Now()
-	jt.Add(parent, name, cat, now, now, args)
 }
 
 // Snapshot returns the retained spans oldest-first plus the drop count.
@@ -147,11 +128,7 @@ func (jt *JobTrace) Snapshot() (spans []SpanRecord, dropped uint64) {
 	}
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
-	spans = make([]SpanRecord, 0, jt.count)
-	for i := 0; i < jt.count; i++ {
-		spans = append(spans, jt.buf[(jt.start+i)%len(jt.buf)])
-	}
-	return spans, jt.dropped
+	return jt.spans.Slice(), jt.dropped
 }
 
 // Dropped returns how many spans the ring has evicted.

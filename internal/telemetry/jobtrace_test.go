@@ -76,7 +76,6 @@ func TestJobTraceTree(t *testing.T) {
 func TestJobTraceNilSafety(t *testing.T) {
 	var jt *JobTrace
 	jt.Add("", "x", "test", time.Now(), time.Now(), nil)
-	jt.Mark("", "x", "test", nil)
 	if jt.NewSpanID() != "" || jt.Dropped() != 0 || jt.Tree() != nil {
 		t.Error("nil JobTrace must be inert")
 	}

@@ -25,12 +25,9 @@ import (
 // most recent window of activity instead of OOMing the process.
 type Tracer struct {
 	start time.Time
-	cap   int
 
 	mu      sync.Mutex
-	events  []traceEvent // ring storage, len == cap once full
-	head    int          // index of the oldest retained event
-	count   int
+	events  Ring[traceEvent]
 	dropped uint64
 }
 
@@ -65,7 +62,7 @@ func NewTracerCap(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &Tracer{start: time.Now(), cap: capacity}
+	return &Tracer{start: time.Now(), events: NewRing[traceEvent](capacity)}
 }
 
 // Dropped returns how many events the bounded ring has evicted.
@@ -101,7 +98,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.count
+	return t.events.Len()
 }
 
 func (t *Tracer) since(at time.Time) int64 { return at.Sub(t.start).Microseconds() }
@@ -109,57 +106,15 @@ func (t *Tracer) since(at time.Time) int64 { return at.Sub(t.start).Microseconds
 func (t *Tracer) append(ev traceEvent) {
 	ev.PID = 1
 	t.mu.Lock()
-	if t.cap <= 0 {
-		t.cap = DefaultTraceCap // zero-value Tracer from old constructors
-	}
-	if len(t.events) < t.cap {
-		t.events = append(t.events, ev)
-		t.count++
-	} else {
-		// Ring full: overwrite the oldest event and count the loss.
-		t.events[t.head] = ev
-		t.head = (t.head + 1) % t.cap
+	if t.events.Push(ev) {
 		t.dropped++
 	}
 	t.mu.Unlock()
 }
 
-// Span is one in-flight complete event. The zero Span (from a nil tracer)
-// is inert.
-type Span struct {
-	t     *Tracer
-	name  string
-	cat   string
-	tid   int
-	start time.Time
-}
-
-// Begin opens a span on track tid. End (or EndWith) closes it.
-func (t *Tracer) Begin(tid int, name, cat string) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{t: t, name: name, cat: cat, tid: tid, start: time.Now()}
-}
-
-// End records the span without arguments.
-func (s Span) End() { s.EndWith(nil) }
-
-// EndWith records the span with arguments.
-func (s Span) EndWith(args map[string]string) {
-	if s.t == nil {
-		return
-	}
-	end := time.Now()
-	s.t.append(traceEvent{
-		Name: s.name, Cat: s.cat, Phase: "X",
-		TS: s.t.since(s.start), Dur: end.Sub(s.start).Microseconds(),
-		TID: s.tid, Args: args,
-	})
-}
-
 // Complete records a span whose start and end were measured by the caller
-// (e.g. a queue-wait reconstructed from a task's enqueue time).
+// — the engine measures each span once and hands the same pair to the
+// job's JobTrace.
 func (t *Tracer) Complete(tid int, name, cat string, start, end time.Time, args map[string]string) {
 	if t == nil {
 		return
@@ -171,14 +126,14 @@ func (t *Tracer) Complete(tid int, name, cat string, start, end time.Time, args 
 	})
 }
 
-// Instant records a point event on track tid.
-func (t *Tracer) Instant(tid int, name, cat string, args map[string]string) {
+// Instant records a point event at the caller's instant at on track tid.
+func (t *Tracer) Instant(tid int, name, cat string, at time.Time, args map[string]string) {
 	if t == nil {
 		return
 	}
 	t.append(traceEvent{
 		Name: name, Cat: cat, Phase: "i", Scope: "t",
-		TS: t.since(time.Now()), TID: tid, Args: args,
+		TS: t.since(at), TID: tid, Args: args,
 	})
 }
 
@@ -200,10 +155,7 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		return fmt.Errorf("telemetry: nil tracer has no trace to write")
 	}
 	t.mu.Lock()
-	events := make([]traceEvent, 0, t.count)
-	for i := 0; i < t.count; i++ {
-		events = append(events, t.events[(t.head+i)%len(t.events)])
-	}
+	events := t.events.Slice()
 	t.mu.Unlock()
 	enc := json.NewEncoder(w)
 	return enc.Encode(struct {

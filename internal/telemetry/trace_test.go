@@ -26,10 +26,10 @@ func decodeTrace(t *testing.T, tr *Tracer) map[string]any {
 func TestTracerSpansAndInstants(t *testing.T) {
 	tr := NewTracer()
 	tr.SetThreadName(1, "worker-1")
-	sp := tr.Begin(1, "simulate", "engine")
+	start := time.Now()
 	time.Sleep(time.Millisecond)
-	sp.EndWith(map[string]string{"config": "M8"})
-	tr.Instant(0, "memo-hit", "engine", nil)
+	tr.Complete(1, "simulate", "engine", start, time.Now(), map[string]string{"config": "M8"})
+	tr.Instant(0, "memo-hit", "engine", time.Now(), nil)
 	tr.Complete(1, "queue-wait", "engine", time.Now().Add(-time.Millisecond), time.Now(), nil)
 
 	doc := decodeTrace(t, tr)
@@ -65,10 +65,7 @@ func TestNilTracerNoops(t *testing.T) {
 	if tr.Enabled() {
 		t.Error("nil tracer reports enabled")
 	}
-	sp := tr.Begin(0, "x", "y")
-	sp.End()
-	sp.EndWith(map[string]string{"a": "b"})
-	tr.Instant(0, "x", "y", nil)
+	tr.Instant(0, "x", "y", time.Now(), nil)
 	tr.Complete(0, "x", "y", time.Now(), time.Now(), nil)
 	tr.SetThreadName(0, "x")
 	if tr.Len() != 0 {
@@ -87,7 +84,7 @@ func TestTracerConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tr.Begin(w, "span", "test").End()
+				tr.Complete(w, "span", "test", time.Now(), time.Now(), nil)
 			}
 		}(w)
 	}
@@ -103,7 +100,7 @@ func TestTracerConcurrent(t *testing.T) {
 
 func TestTracerWriteFile(t *testing.T) {
 	tr := NewTracer()
-	tr.Begin(0, "a", "b").End()
+	tr.Complete(0, "a", "b", time.Now(), time.Now(), nil)
 	path := t.TempDir() + "/trace.json"
 	if err := tr.WriteFile(path); err != nil {
 		t.Fatal(err)

@@ -77,15 +77,12 @@ func seriesKey(name, labelValue string) string { return name + "\x00" + labelVal
 type Sampler struct {
 	reg      *telemetry.Registry
 	interval time.Duration
-	capacity int
 	slos     []SLO
 	burn     *telemetry.GaugeVec
 	breach   *telemetry.GaugeVec
 
-	mu    sync.Mutex
-	ring  []point
-	head  int
-	count int
+	mu   sync.Mutex
+	ring telemetry.Ring[point]
 }
 
 // New builds a sampler over reg. The SLO burn-rate and breach gauges are
@@ -101,8 +98,8 @@ func New(reg *telemetry.Registry, cfg Config) *Sampler {
 	s := &Sampler{
 		reg:      reg,
 		interval: cfg.Interval,
-		capacity: cfg.Capacity,
 		slos:     append([]SLO(nil), cfg.SLOs...),
+		ring:     telemetry.NewRing[point](cfg.Capacity),
 	}
 	if reg != nil {
 		s.burn = reg.GaugeVec(telemetry.MetricSLOBurnRate,
@@ -134,13 +131,7 @@ func (s *Sampler) Sample() {
 // controlled clocks.
 func (s *Sampler) push(p point) {
 	s.mu.Lock()
-	if len(s.ring) < s.capacity {
-		s.ring = append(s.ring, p)
-		s.count++
-	} else {
-		s.ring[s.head] = p
-		s.head = (s.head + 1) % s.capacity
-	}
+	s.ring.Push(p)
 	h := s.historyLocked()
 	s.mu.Unlock()
 	s.publish(h)
@@ -230,12 +221,12 @@ func (s *Sampler) historyLocked() History {
 	h := History{
 		Schema:          SchemaVersion,
 		IntervalSeconds: s.interval.Seconds(),
-		Samples:         s.count,
+		Samples:         s.ring.Len(),
 		Gauges:          map[string]float64{},
 		Windows:         map[string]WindowStats{},
 		SLOs:            []SLOStatus{},
 	}
-	if s.count == 0 {
+	if s.ring.Len() == 0 {
 		for _, w := range Windows {
 			h.Windows[w.Name] = WindowStats{Kinds: map[string]KindStats{}}
 		}
@@ -244,7 +235,7 @@ func (s *Sampler) historyLocked() History {
 		}
 		return h
 	}
-	latest := s.at(s.count - 1)
+	latest := s.ring.At(s.ring.Len() - 1)
 	for name, v := range latest.gauges {
 		h.Gauges[name] = v
 	}
@@ -262,16 +253,13 @@ func (s *Sampler) historyLocked() History {
 	return h
 }
 
-// at returns the i-th retained point, oldest first.
-func (s *Sampler) at(i int) point { return s.ring[(s.head+i)%len(s.ring)] }
-
 // baseline returns the newest retained point at least span older than
 // now — or the oldest point if the ring is younger than the window, so a
 // freshly started daemon reports over whatever span it has.
 func (s *Sampler) baseline(now time.Time, span time.Duration) point {
-	best := s.at(0)
-	for i := s.count - 1; i >= 1; i-- {
-		p := s.at(i)
+	best := s.ring.At(0)
+	for i := s.ring.Len() - 1; i >= 1; i-- {
+		p := s.ring.At(i)
 		if now.Sub(p.at) >= span {
 			return p
 		}

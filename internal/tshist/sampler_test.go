@@ -34,7 +34,7 @@ func TestBaselinePicksNewestOldEnoughPoint(t *testing.T) {
 	for i := 0; i < 10; i++ { // points at t0, t0+10s, ..., t0+90s
 		s.push(point{at: t0.Add(time.Duration(i) * 10 * time.Second)})
 	}
-	latest := s.at(s.count - 1) // t0+90s
+	latest := s.ring.At(s.ring.Len() - 1) // t0+90s
 	base := s.baseline(latest.at, time.Minute)
 	if got := latest.at.Sub(base.at); got != time.Minute {
 		t.Fatalf("1m baseline span = %v, want exactly 60s (the newest point >= 60s old)", got)
