@@ -218,10 +218,10 @@ func BenchmarkCoreStep(b *testing.B) {
 // heterogeneous configuration — in simulated MIPS. Like the Fig. 4
 // sweeps, it covers one workload of each type (ILP, MEM, MIX), so the
 // metric reflects the mix a real evaluation simulates: memory-bound cells
-// dominate wall-clock, exactly where idle-cycle fast-forward pays. This
-// is the quantity the perf trajectory in BENCH_PR2.json tracks across
-// PRs. Profiles are warmed before timing (they are offline, memoized
-// inputs to HEUR, not part of the simulation being measured).
+// dominate wall-clock, exactly where idle-cycle fast-forward pays. It is
+// the basket cmd/experiments -perf times (BENCH_PR2.json pins its counts).
+// Profiles are warmed before timing (they are offline, memoized inputs to
+// HEUR, not part of the simulation being measured).
 func BenchmarkEvaluateHEUR(b *testing.B) {
 	cfg := config.MustParse(perf.BasketConfig)
 	cells := []struct {

@@ -3,11 +3,15 @@
 // (Fig. 4a-c), the performance-per-area comparison (Fig. 5a-c) and the §5
 // headline summary. Budgets are scaled (the paper simulates 300M
 // instructions per thread); pass -budget to change the scale.
+//
+// It also generates the pinned BENCH_PR*.json artifacts, one output flag
+// per artifact (see artifacts).
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -16,153 +20,217 @@ import (
 
 	"hdsmt/internal/area"
 	"hdsmt/internal/config"
-	"hdsmt/internal/mapping"
-	"hdsmt/internal/perf"
-	"hdsmt/internal/search"
 	"hdsmt/internal/sim"
 	"hdsmt/internal/workload"
 )
 
-func main() {
-	var (
-		budget      = flag.Uint64("budget", 30_000, "measured instructions per thread")
-		warmup      = flag.Uint64("warmup", 10_000, "warm-up instructions per thread")
-		oracle      = flag.Uint64("oracle", 0, "oracle search budget (0 = same as -budget)")
-		maxOracle   = flag.Int("maxoracle", 96, "cap on oracle mappings searched (0 = exhaustive)")
-		parallel    = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		list        = flag.Bool("list", false, "list workloads (Tables 2-3) and exit")
-		areaOnly    = flag.Bool("area", false, "print area figures (Fig. 2b, Fig. 3) and exit")
-		only        = flag.String("figure", "", "run a single sub-figure: 4a|4b|4c (5a-c derive from the same runs)")
-		detail      = flag.Bool("detail", false, "also print per-workload measurements")
-		ablate      = flag.Bool("ablate", false, "run the design-choice ablations and exit")
-		csvDir      = flag.String("csv", "", "also write per-figure CSV files into this directory")
-		perfOut     = flag.String("perf", "", "measure simulator throughput (optimized vs reference stepping), write a perf trajectory report to this JSON file, and exit")
-		perfReps    = flag.Int("perfreps", 5, "repetitions per cell for -perf")
-		searchOut   = flag.String("search", "", "run the search-efficiency benchmark (metaheuristics vs exhaustive enumeration), write the report to this JSON file, and exit")
-		searchSd    = flag.Int64("searchseed", 1, "random seed for -search")
-		paretoOut   = flag.String("pareto", "", "run the multi-objective benchmark (fronts, hypervolume trajectories, seeded priors, per-class specialization), write the report to this JSON file, and exit")
-		paretoSd    = flag.Int64("paretoseed", 1, "random seed for -pareto")
-		sampledOut  = flag.String("sampled", "", "run the sampled-simulation benchmark (systematic sampling vs exact on the HEUR basket: error, interval coverage, speedup), write the report to this JSON file, and exit")
-		sampledReps = flag.Int("sampledreps", 3, "timing repetitions per pass for -sampled")
-		powerOut    = flag.String("power", "", "run the power-model benchmark (per-machine EPI/ED/ED², the 4-objective ipc/area/fairness/energy front, NSGA-II/PACO hypervolume trajectories), write the report to this JSON file, and exit")
-		powerSd     = flag.Int64("powerseed", 1, "random seed for -power")
-		powerFull   = flag.Bool("powerfull", false, "run -power at full scale (exhaustive 4-objective front over the whole enriched space; default is the CI-sized short mode)")
-		tracePath   = flag.String("tracepath", "", "write a Chrome trace_event JSON of every engine job to this file (open in chrome://tracing or Perfetto)")
-		quiet       = flag.Bool("quiet", false, "suppress the periodic progress line on stderr")
-	)
-	flag.Parse()
-	obsInit(*tracePath, *quiet)
-	defer obsClose()
+// artifact is one pinned BENCH report: the flag naming its output file and
+// the generator that computes it. A generator returns the deterministic
+// report, or an error when one of its own acceptance criteria fails; what
+// the wall clock touches it prints to stdout, so two generations on any
+// machine write identical bytes.
+type artifact struct {
+	flag, usage string
+	gen         func(params) (any, error)
+}
 
-	if *list {
+// params are the flags generators read.
+type params struct {
+	reps int  // timing repetitions per pass (-perf, -sampled)
+	full bool // -power at full scale
+}
+
+var artifacts = []artifact{
+	{"perf", "measure simulator throughput on the HEUR basket, optimized vs reference stepping (BENCH_PR2: simulated counts pinned, timing on stdout), write the report to this JSON file", genPerf},
+	{"search", "run the search-efficiency benchmark (BENCH_PR3: metaheuristics vs exhaustive enumeration), write the report to this JSON file", genSearch},
+	{"pareto", "run the multi-objective benchmark (BENCH_PR4: fronts, hypervolume trajectories, seeded priors, per-class specialization), write the report to this JSON file", genPareto},
+	{"sampled", "run the sampled-simulation benchmark (BENCH_PR10: systematic sampling vs exact on the HEUR basket: error, interval coverage, speedup), write the report to this JSON file", genSampled},
+	{"power", "run the power-model benchmark (BENCH_PR5: per-machine EPI/ED/ED², the 4-objective ipc/area/fairness/energy front, NSGA-II/PACO hypervolume trajectories), write the report to this JSON file", genPower},
+}
+
+// figures are the -figure keys and their workload classes, in paper order
+// (Fig. 5a-c derive from the same runs).
+var figures = []struct {
+	key string
+	t   workload.Type
+}{{"4a", workload.ILP}, {"4b", workload.MEM}, {"4c", workload.MIX}}
+
+// options are the parsed command line.
+type options struct {
+	sim                                   sim.Options
+	list, areaOnly, detail, ablate, quiet bool
+	figure, csvDir, tracePath             string
+	params                                params
+	outs                                  []string // per artifact; "" = not requested
+}
+
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run executes one command line and returns its exit status: 0 on
+// success, 1 when a run or an artifact's criterion fails, 2 on a usage
+// error, which is rejected before anything is simulated.
+func run(args []string) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	var o options
+	fs.Uint64Var(&o.sim.Budget, "budget", 30_000, "measured instructions per thread")
+	fs.Uint64Var(&o.sim.Warmup, "warmup", 10_000, "warm-up instructions per thread")
+	fs.Uint64Var(&o.sim.OracleBudget, "oracle", 0, "oracle search budget (0 = same as -budget)")
+	fs.IntVar(&o.sim.MaxOracle, "maxoracle", 96, "cap on oracle mappings searched (0 = exhaustive)")
+	fs.IntVar(&o.sim.Parallel, "parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
+	fs.BoolVar(&o.list, "list", false, "list workloads (Tables 2-3) and exit")
+	fs.BoolVar(&o.areaOnly, "area", false, "print area figures (Fig. 2b, Fig. 3) and exit")
+	fs.StringVar(&o.figure, "figure", "", "run a single sub-figure: 4a|4b|4c (5a-c derive from the same runs)")
+	fs.BoolVar(&o.detail, "detail", false, "also print per-workload measurements")
+	fs.BoolVar(&o.ablate, "ablate", false, "run the design-choice ablations and exit")
+	fs.StringVar(&o.csvDir, "csv", "", "also write per-figure CSV files into this directory")
+	fs.IntVar(&o.params.reps, "reps", 3, "timing repetitions per pass for -perf and -sampled (the fastest is reported)")
+	fs.BoolVar(&o.params.full, "powerfull", false, "run -power at full scale (exhaustive 4-objective front over the whole enriched space; default is the CI-sized short mode)")
+	fs.StringVar(&o.tracePath, "tracepath", "", "write a Chrome trace_event JSON of every engine job to this file (open in chrome://tracing or Perfetto)")
+	fs.BoolVar(&o.quiet, "quiet", false, "suppress the periodic progress line on stderr")
+	o.outs = make([]string, len(artifacts))
+	for i, a := range artifacts {
+		fs.StringVar(&o.outs[i], a.flag, "", a.usage+", and exit")
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usageError := func(format string, a ...any) int {
+		fmt.Fprintf(fs.Output(), "experiments: "+format+"\n", a...)
+		fs.Usage()
+		return 2
+	}
+	if o.params.reps < 1 {
+		return usageError("-reps %d: want at least 1", o.params.reps)
+	}
+	if o.figure != "" && !isFigure(o.figure) {
+		return usageError("-figure %q: want 4a, 4b or 4c", o.figure)
+	}
+
+	obsInit(o.tracePath, o.quiet)
+	err := o.execute()
+	if cerr := obsClose(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// isFigure reports whether key names one of the figures.
+func isFigure(key string) bool {
+	for _, f := range figures {
+		if f.key == key {
+			return true
+		}
+	}
+	return false
+}
+
+// execute runs what the command line selected: the workload list, every
+// requested artifact, or the paper's figures.
+func (o *options) execute() error {
+	if o.list {
 		printWorkloads()
-		return
+		return nil
 	}
-	if *perfOut != "" {
-		if err := writePerfReport(*perfOut, *perfReps); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+	emitted := false
+	for i, a := range artifacts {
+		if o.outs[i] == "" {
+			continue
 		}
-		return
-	}
-	if *searchOut != "" {
-		if err := writeSearchReport(*searchOut, *searchSd); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+		report, err := a.gen(o.params)
+		if err != nil {
+			return fmt.Errorf("%s: %w", a.flag, err)
 		}
-		return
-	}
-	if *paretoOut != "" {
-		if err := writeParetoReport(*paretoOut, *paretoSd); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+		if err := emit(o.outs[i], report); err != nil {
+			return fmt.Errorf("%s: %w", a.flag, err)
 		}
-		return
+		fmt.Printf("%s: report written to %s\n", a.flag, o.outs[i])
+		emitted = true
 	}
-	if *sampledOut != "" {
-		if err := writeSampledReport(*sampledOut, *sampledReps); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if emitted {
+		return nil
 	}
-	if *powerOut != "" {
-		if err := writePowerReport(*powerOut, *powerSd, *powerFull); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	printAreaFigures()
-	if *areaOnly {
-		return
-	}
+	return o.paper()
+}
 
-	opt := sim.Options{Budget: *budget, Warmup: *warmup, OracleBudget: *oracle, MaxOracle: *maxOracle, Parallel: *parallel}
+// emit writes report as indented JSON with a trailing newline: the one
+// encoding of every BENCH artifact.
+func emit(path string, report any) error {
+	b, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o644)
+}
+
+// paper prints the area figures, then runs the ablations or the IPC and
+// performance-per-area figures with the §5 summary.
+func (o *options) paper() error {
+	if err := printAreaFigures(); err != nil || o.areaOnly {
+		return err
+	}
 
 	// One shared runner for every sweep below, so cells common to several
 	// figures (and the ablations) are simulated once.
-	runner, err := sim.NewRunner(obsEngineOptions(*parallel))
+	runner, err := sim.NewRunner(obsEngineOptions(o.sim.Parallel))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	defer runner.Close()
 	ctx := context.Background()
 
-	if *ablate {
-		as, err := runner.RunAblations(ctx, workload.MustByName("4W6"), opt)
+	if o.ablate {
+		as, err := runner.RunAblations(ctx, workload.MustByName("4W6"), o.sim)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		for _, a := range as {
 			fmt.Println(a.Render())
 		}
-		return
+		return nil
 	}
 
-	types := map[string]workload.Type{"4a": workload.ILP, "4b": workload.MEM, "4c": workload.MIX}
-	order := []string{"4a", "4b", "4c"}
 	figs := map[workload.Type]sim.FigResult{}
-	for _, key := range order {
-		if *only != "" && *only != key {
+	for _, f := range figures {
+		if o.figure != "" && o.figure != f.key {
 			continue
 		}
-		t := types[key]
-		fmt.Printf("running Fig. %s (%s workloads)...\n", key, t)
-		fig, err := runner.RunFigure(ctx, t, opt)
+		fmt.Printf("running Fig. %s (%s workloads)...\n", f.key, f.t)
+		fig, err := runner.RunFigure(ctx, f.t, o.sim)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		figs[t] = fig
+		figs[f.t] = fig
 		fmt.Println(fig.Render())
-		if *csvDir != "" {
-			if err := writeCSVs(*csvDir, key, fig); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
+		if o.csvDir != "" {
+			if err := writeCSVs(o.csvDir, f.key, fig); err != nil {
+				return err
 			}
 		}
 		pa, err := fig.PerArea()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Println(pa.Render())
-		if *detail {
+		if o.detail {
 			fmt.Println(fig.RenderPerWorkload())
 		}
 	}
 
-	if *only == "" && len(figs) == 3 {
+	if len(figs) == len(figures) {
 		s, err := sim.Summarize(figs)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Println(s.Render())
 	}
+	return nil
 }
 
 // writeCSVs emits fig<key>.csv (aggregates) and fig<key>_workloads.csv
@@ -187,203 +255,6 @@ func writeCSVs(dir, key string, fig sim.FigResult) error {
 	return fig.WritePerWorkloadCSV(per)
 }
 
-// writePerfReport measures the perf trajectory: the standard basket
-// (perf.BasketConfig × perf.BasketWorkloads, shared with
-// BenchmarkEvaluateHEUR) timed on the naive reference stepping path and
-// on the optimized (event-driven wakeup + idle fast-forward) path,
-// written as a machine-readable report. Both modes produce bit-identical
-// simulation results, so the report carries its own machine-independent
-// baseline.
-func writePerfReport(path string, reps int) error {
-	opt := sim.Options{Budget: perf.BasketBudget, Warmup: perf.BasketWarmup, Parallel: 1}
-	cfg := config.MustParse(perf.BasketConfig)
-	type cell struct {
-		w workload.Workload
-		m mapping.Mapping
-	}
-	var cells []cell
-	for _, name := range perf.BasketWorkloads() {
-		w := workload.MustByName(name)
-		m, err := sim.HeuristicMapping(cfg, w) // also warms the profile cache
-		if err != nil {
-			return err
-		}
-		cells = append(cells, cell{w, m})
-	}
-
-	report := perf.NewReport(fmt.Sprintf("evaluate-HEUR/%s/%v", perf.BasketConfig, perf.BasketWorkloads()))
-	for _, mode := range []string{"reference", "optimized"} {
-		run := sim.Run
-		if mode == "reference" {
-			run = sim.RunReference
-		}
-		s, err := report.Measure("evaluate-HEUR", mode, func() (uint64, uint64, error) {
-			var instructions, cycles uint64
-			for rep := 0; rep < reps; rep++ {
-				for _, c := range cells {
-					r, err := run(cfg, c.w, c.m, opt)
-					if err != nil {
-						return 0, 0, err
-					}
-					for _, n := range r.Committed {
-						instructions += n
-					}
-					cycles += r.Cycles
-				}
-			}
-			return instructions, cycles, nil
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("perf: %-10s %8.3f MIPS  %8.1f ns/cycle  %6.3f allocs/cycle\n",
-			mode, s.MIPS, s.NsPerCycle, s.AllocsPerCycle)
-	}
-	report.ComputeSpeedups()
-	if sp, ok := report.Speedup["evaluate-HEUR"]; ok {
-		fmt.Printf("perf: optimized/reference speedup = %.2fx\n", sp)
-	}
-	if err := report.WriteFile(path); err != nil {
-		return err
-	}
-	fmt.Printf("perf: report written to %s\n", path)
-	return nil
-}
-
-// searchStrategyEntry is one guided strategy's search-efficiency record.
-type searchStrategyEntry struct {
-	Strategy string `json:"strategy"`
-	Budget   int    `json:"budget"`
-	Seed     int64  `json:"seed"`
-	// FoundOptimum: the strategy's incumbent equals the exhaustive optimum.
-	FoundOptimum bool `json:"found_optimum"`
-	// SimulationRatio is this search's executed simulations over the
-	// exhaustive baseline's (the simulations-to-optimum criterion: ≤ 0.30).
-	SimulationRatio float64        `json:"simulation_ratio"`
-	Result          *search.Result `json:"result"`
-}
-
-// searchReport is BENCH_PR3.json: search efficiency vs exhaustive
-// enumeration on a space small enough to enumerate, plus a budgeted ACO
-// trajectory on the enriched space exhaustive search cannot touch.
-type searchReport struct {
-	Name      string   `json:"name"`
-	Workloads []string `json:"workloads"`
-	SimBudget uint64   `json:"sim_budget"`
-	SimWarmup uint64   `json:"sim_warmup"`
-
-	SmallSpace struct {
-		Genotypes  int64                 `json:"genotypes"`
-		Candidates int                   `json:"candidates"`
-		Exhaustive *search.Result        `json:"exhaustive"`
-		Strategies []searchStrategyEntry `json:"strategies"`
-	} `json:"small_space"`
-
-	EnrichedSpace struct {
-		Genotypes int64          `json:"genotypes"`
-		ACO       *search.Result `json:"aco"`
-	} `json:"enriched_space"`
-}
-
-// writeSearchReport measures search efficiency. Every run uses a fresh
-// engine so simulation counts are honest (no cross-strategy cache help);
-// the report fails loudly if a guided strategy misses the optimum or
-// overspends the 30% criterion, so the CI smoke step is a real check.
-func writeSearchReport(path string, seed int64) error {
-	const wlName = "2W7"
-	wls := []workload.Workload{workload.MustByName(wlName)}
-	simOpt := sim.Options{Budget: 2_000, Warmup: 1_000}
-
-	report := searchReport{Name: "search-efficiency", Workloads: []string{wlName},
-		SimBudget: simOpt.Budget, SimWarmup: simOpt.Warmup}
-
-	runOn := func(sp search.Space, st search.Strategy, opts search.Options) (*search.Result, error) {
-		runner, err := sim.NewRunner(obsEngineOptions(0))
-		if err != nil {
-			return nil, err
-		}
-		defer runner.Close()
-		return search.NewDriver(runner).Search(context.Background(), sp, st, opts)
-	}
-
-	// Small space: every multiset of ≤ 3 pipelines × 3 queue scalings ×
-	// static/dynamic mapping. Enumerable, so exhaustive gives the ground
-	// truth the metaheuristics are scored against.
-	small := search.NewSpace(3, 0, wls)
-	small.QueueScales = []int{75, 100, 125}
-	small.RemapIntervals = []uint64{0, sim.DefaultRemapInterval}
-	report.SmallSpace.Genotypes = small.Size()
-	report.SmallSpace.Candidates = len(small.Candidates())
-
-	exh, err := runOn(small, search.Exhaustive{}, search.Options{Sim: simOpt, Telemetry: obs.reg})
-	if err != nil {
-		return err
-	}
-	if exh.Best == nil {
-		return fmt.Errorf("exhaustive search found no feasible machine")
-	}
-	report.SmallSpace.Exhaustive = exh
-	fmt.Printf("search: exhaustive %d evaluations, %d simulations, optimum %s (IPC/mm² %.5f)\n",
-		exh.Evaluations, exh.Simulations, exh.Best.Config, exh.Best.Metric("per_area"))
-
-	budget := exh.Evaluations * 30 / 100
-	for _, name := range []string{"hillclimb", "aco"} {
-		st, err := search.ByName(name)
-		if err != nil {
-			return err
-		}
-		res, err := runOn(small, st, search.Options{Budget: budget, Seed: seed, Sim: simOpt, Telemetry: obs.reg})
-		if err != nil {
-			return err
-		}
-		entry := searchStrategyEntry{Strategy: name, Budget: budget, Seed: seed, Result: res}
-		entry.SimulationRatio = float64(res.Simulations) / float64(exh.Simulations)
-		entry.FoundOptimum = res.Best != nil &&
-			res.Best.Config == exh.Best.Config &&
-			res.Best.Policy == exh.Best.Policy &&
-			res.Best.Remap == exh.Best.Remap
-		report.SmallSpace.Strategies = append(report.SmallSpace.Strategies, entry)
-		fmt.Printf("search: %-9s found optimum=%v with %d simulations (%.0f%% of exhaustive), cache-hit %.0f%%\n",
-			name, entry.FoundOptimum, res.Simulations, 100*entry.SimulationRatio, 100*res.CacheHitRate)
-		if !entry.FoundOptimum {
-			got := "(none)"
-			if res.Best != nil {
-				got = res.Best.Name()
-			}
-			return fmt.Errorf("%s missed the exhaustive optimum (%s vs %s)", name, got, exh.Best.Name())
-		}
-		if entry.SimulationRatio > 0.30 {
-			return fmt.Errorf("%s spent %.0f%% of the exhaustive simulation count (criterion: <= 30%%)",
-				name, 100*entry.SimulationRatio)
-		}
-	}
-
-	// Enriched space: > 10⁴ genotypes — policies, remap intervals and both
-	// sizing axes in play. A budgeted ACO walk records the trajectory.
-	enriched := search.EnrichedSpace(4, 0, wls)
-	report.EnrichedSpace.Genotypes = enriched.Size()
-	aco, err := runOn(enriched, search.NewACO(), search.Options{Budget: 48, Seed: seed, Sim: simOpt, Telemetry: obs.reg})
-	if err != nil {
-		return err
-	}
-	if aco.Best == nil || len(aco.Trajectory) == 0 {
-		return fmt.Errorf("enriched ACO run produced no trajectory")
-	}
-	report.EnrichedSpace.ACO = aco
-	fmt.Printf("search: enriched space (%d genotypes) ACO best %s (IPC/mm² %.5f) after %d evaluations\n",
-		enriched.Size(), aco.Best.Name(), aco.Best.Metric("per_area"), aco.Evaluations)
-
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("search: report written to %s\n", path)
-	return nil
-}
-
 func printWorkloads() {
 	fmt.Println("Tables 2-3: workloads")
 	for _, w := range workload.All() {
@@ -391,7 +262,7 @@ func printWorkloads() {
 	}
 }
 
-func printAreaFigures() {
+func printAreaFigures() error {
 	fmt.Println("Fig. 2b: area per pipeline model (mm², 0.18µm; single-pipeline processor)")
 	fmt.Printf("  %-6s", "model")
 	for s := area.Stage(0); s < area.NumStages; s++ {
@@ -401,8 +272,7 @@ func printAreaFigures() {
 	for _, m := range config.Models() {
 		b, err := area.SinglePipelineProcessor(m)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Printf("  %-6s", m.Name)
 		for s := area.Stage(0); s < area.NumStages; s++ {
@@ -418,4 +288,5 @@ func printAreaFigures() {
 		fmt.Printf("  %-14s %8.2f mm²  (%+.2f%% vs M8)\n", cfg.Name, total, 100*(total-base)/base)
 	}
 	fmt.Println()
+	return nil
 }

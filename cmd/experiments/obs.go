@@ -25,9 +25,11 @@ var obs struct {
 }
 
 // obsInit wires the run's observability from the -tracepath and -quiet
-// flags; call once, right after flag parsing.
+// flags; call once per command line, right after flag parsing.
 func obsInit(tracePath string, quiet bool) {
 	obs.reg = telemetry.NewRegistry()
+	obs.rep = nil
+	obs.tracer = nil
 	obs.tracePath = tracePath
 	obs.quiet = quiet
 	if tracePath != "" {
@@ -47,17 +49,16 @@ func obsEngineOptions(workers int) engine.Options {
 }
 
 // obsClose stops the progress reporter (printing its final line) and
-// flushes the trace. Runs on the success paths; an os.Exit error path
-// loses the trace, which is fine — the run it described failed.
-func obsClose() {
+// flushes the trace.
+func obsClose() error {
 	obs.rep.Stop()
 	if obs.tracePath == "" {
-		return
+		return nil
 	}
 	if err := obs.tracer.WriteFile(obs.tracePath); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: writing trace: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("writing trace: %w", err)
 	}
 	fmt.Printf("trace written to %s (%d events; open in chrome://tracing)\n",
 		obs.tracePath, obs.tracer.Len())
+	return nil
 }

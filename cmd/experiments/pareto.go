@@ -2,9 +2,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"hdsmt/internal/pareto"
@@ -75,30 +73,22 @@ type paretoReport struct {
 	Specialization *search.SpecializationReport `json:"specialization"`
 }
 
-// writeParetoReport runs the multi-objective benchmark. Every claim the CI
-// smoke step depends on is asserted here and fails the command loudly:
-// non-empty mutually non-dominated fronts, monotone hypervolume
-// trajectories, the scalar optimum on the enriched front, and every seeded
-// strategy still finding the small-space optimum.
-func writeParetoReport(path string, seed int64) error {
-	const wlName = "2W7"
-	wls := []workload.Workload{workload.MustByName(wlName)}
-	simOpt := sim.Options{Budget: 2_000, Warmup: 1_000}
-	report := paretoReport{Name: "pareto-front", SimBudget: simOpt.Budget, SimWarmup: simOpt.Warmup}
+// genPareto runs the multi-objective benchmark. It fails on any broken
+// claim: an empty or mutually dominated front, a hypervolume trajectory
+// that falls, the scalar optimum missing from the enriched front, or a
+// seeded strategy missing the small-space optimum.
+func genPareto(params) (any, error) {
+	wls := []workload.Workload{workload.MustByName(searchWorkload)}
+	report := paretoReport{Name: "pareto-front", SimBudget: searchSim.Budget, SimWarmup: searchSim.Warmup}
 
 	// ---- Part 1: prior seeding on the small space -----------------------
-	small := search.NewSpace(3, 0, wls)
-	small.QueueScales = []int{75, 100, 125}
-	small.RemapIntervals = []uint64{0, sim.DefaultRemapInterval}
-	report.Seeding.Workloads = []string{wlName}
+	small := smallSpace(wls)
+	report.Seeding.Workloads = []string{searchWorkload}
 	report.Seeding.Genotypes = small.Size()
 
-	exh, err := runSearch(small, search.Exhaustive{}, search.Options{Sim: simOpt, Telemetry: obs.reg})
+	exh, err := exhaustiveOptimum(small)
 	if err != nil {
-		return err
-	}
-	if exh.Best == nil {
-		return fmt.Errorf("exhaustive search found no feasible machine")
+		return nil, err
 	}
 	report.Seeding.Optimum = exh.Best.Name()
 	report.Seeding.Exhaustive = exh.Evaluations
@@ -107,18 +97,13 @@ func writeParetoReport(path string, seed int64) error {
 		exh.Best.Name(), exh.Evaluations, budget)
 
 	for _, name := range []string{"hillclimb", "hillclimb-seeded", "aco", "aco-seeded"} {
-		st, err := search.ByName(name)
+		res, err := runSearch(small, name, search.Options{Budget: budget, Seed: seed, Sim: searchSim})
 		if err != nil {
-			return err
-		}
-		res, err := runSearch(small, st, search.Options{Budget: budget, Seed: seed, Sim: simOpt, Telemetry: obs.reg})
-		if err != nil {
-			return err
+			return nil, err
 		}
 		entry := seedEntry{Strategy: name, Seeded: strings.HasSuffix(name, "-seeded"),
 			Budget: budget, Seed: seed, Simulations: res.Simulations, Result: res}
-		if res.Best != nil && res.Best.Config == exh.Best.Config &&
-			res.Best.Policy == exh.Best.Policy && res.Best.Remap == exh.Best.Remap {
+		if sameMachine(res.Best, exh.Best) {
 			entry.FoundOptimum = true
 			entry.EvalsToOptimum = res.Best.Evaluations
 		}
@@ -126,25 +111,21 @@ func writeParetoReport(path string, seed int64) error {
 		fmt.Printf("pareto: %-18s optimum=%v after %d evaluations (%d simulations)\n",
 			name, entry.FoundOptimum, entry.EvalsToOptimum, res.Simulations)
 		if !entry.FoundOptimum {
-			got := "(none)"
-			if res.Best != nil {
-				got = res.Best.Name()
-			}
-			return fmt.Errorf("%s missed the exhaustive optimum (%s vs %s)", name, got, exh.Best.Name())
+			return nil, missedOptimum(name, res, exh.Best)
 		}
 	}
 
 	// ---- Part 2: the enriched-space front -------------------------------
 	enriched := search.EnrichedSpace(4, 0, wls)
-	report.EnrichedSpace.Workloads = []string{wlName}
+	report.EnrichedSpace.Workloads = []string{searchWorkload}
 	report.EnrichedSpace.Genotypes = enriched.Size()
 	ipcArea, err := pareto.Parse("ipc,area")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	threeObjs, err := pareto.Parse("ipc,area,fairness")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	report.EnrichedSpace.FrontObjectives = pareto.Keys(ipcArea)
 	report.EnrichedSpace.StrategyObjectives = pareto.Keys(threeObjs)
@@ -153,78 +134,55 @@ func writeParetoReport(path string, seed int64) error {
 	// the multi-objective pass re-reads the same results from the engine.
 	runner, err := sim.NewRunner(obsEngineOptions(0))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer runner.Close()
 	drv := search.NewDriver(runner)
-	scalar, err := drv.Search(context.Background(), enriched, search.Exhaustive{}, search.Options{Sim: simOpt, Telemetry: obs.reg})
+	scalar, err := drv.Search(context.Background(), enriched, search.Exhaustive{}, search.Options{Sim: searchSim, Telemetry: obs.reg})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if scalar.Best == nil {
-		return fmt.Errorf("enriched exhaustive search found no feasible machine")
+		return nil, fmt.Errorf("enriched exhaustive search found no feasible machine")
 	}
 	report.EnrichedSpace.ScalarBest = scalar.Best
 	mo, err := drv.Search(context.Background(), enriched, search.Exhaustive{}, search.Options{
-		Sim: simOpt, Objectives: ipcArea, ArchiveCap: 1 << 12, Telemetry: obs.reg,
+		Sim: searchSim, Objectives: ipcArea, ArchiveCap: 1 << 12, Telemetry: obs.reg,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if mo.Simulations != 0 {
-		return fmt.Errorf("multi-objective pass executed %d fresh simulations, want 0 (warm engine)", mo.Simulations)
+		return nil, fmt.Errorf("multi-objective pass executed %d fresh simulations, want 0 (warm engine)", mo.Simulations)
 	}
 	if len(mo.Front) == 0 {
-		return fmt.Errorf("enriched exhaustive front is empty")
+		return nil, fmt.Errorf("enriched exhaustive front is empty")
 	}
 	report.EnrichedSpace.FrontSize = len(mo.Front)
 	report.EnrichedSpace.Front = mo.Front
-	for _, fp := range mo.Front {
-		if fp.Config == scalar.Best.Config && fp.Policy == scalar.Best.Policy && fp.Remap == scalar.Best.Remap {
+	for i := range mo.Front {
+		if sameMachine(&mo.Front[i], scalar.Best) {
 			report.EnrichedSpace.OptimumOnFront = true
 		}
 	}
 	if !report.EnrichedSpace.OptimumOnFront {
-		return fmt.Errorf("scalar optimum %s missing from the %d-point enriched front",
+		return nil, fmt.Errorf("scalar optimum %s missing from the %d-point enriched front",
 			scalar.Best.Name(), len(mo.Front))
 	}
 	if err := search.CheckFront(ipcArea, mo.Front); err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Printf("pareto: enriched space (%d genotypes): %d-point (ipc, area) front; scalar optimum %s on it\n",
 		enriched.Size(), len(mo.Front), scalar.Best.Name())
 
 	// Budgeted multi-objective strategies on fresh engines, over the full
 	// three objectives (fairness prices its alone-run baselines in).
-	for _, name := range []string{"nsga2", "paco"} {
-		st, err := search.ByName(name)
-		if err != nil {
-			return err
-		}
-		res, err := runSearch(enriched, st, search.Options{
-			Budget: 48, Seed: seed, Sim: simOpt, Objectives: threeObjs, Telemetry: obs.reg,
-		})
-		if err != nil {
-			return err
-		}
-		if len(res.Front) == 0 {
-			return fmt.Errorf("%s produced an empty front", name)
-		}
-		if err := search.CheckFront(threeObjs, res.Front); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		if err := assertMonotoneHV(res); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		switch name {
-		case "nsga2":
-			report.EnrichedSpace.NSGA2 = res
-		case "paco":
-			report.EnrichedSpace.PACO = res
-		}
-		last := res.Hypervolume[len(res.Hypervolume)-1]
-		fmt.Printf("pareto: %-6s front %d machines, hypervolume %.2f after %d evaluations\n",
-			name, len(res.Front), last.Hypervolume, res.Evaluations)
+	moOpts := search.Options{Budget: 48, Seed: seed, Sim: searchSim, Objectives: threeObjs}
+	if report.EnrichedSpace.NSGA2, err = frontSearch(enriched, "nsga2", moOpts); err != nil {
+		return nil, err
+	}
+	if report.EnrichedSpace.PACO, err = frontSearch(enriched, "paco", moOpts); err != nil {
+		return nil, err
 	}
 
 	// ---- Part 3: per-workload-class specialization ----------------------
@@ -236,21 +194,21 @@ func writeParetoReport(path string, seed int64) error {
 	spec := search.NewSpace(3, 0, classWls)
 	specRunner, err := sim.NewRunner(obsEngineOptions(0))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer specRunner.Close()
 	rep, err := search.NewDriver(specRunner).Specialize(context.Background(), spec, search.NewNSGA2(),
-		search.Options{Budget: 16, Seed: seed, Sim: simOpt, Objectives: threeObjs, Telemetry: obs.reg})
+		search.Options{Budget: 16, Seed: seed, Sim: searchSim, Objectives: threeObjs, Telemetry: obs.reg})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(rep.Classes) != 3 {
-		return fmt.Errorf("specialization covered %d classes, want 3", len(rep.Classes))
+		return nil, fmt.Errorf("specialization covered %d classes, want 3", len(rep.Classes))
 	}
 	report.Specialization = rep
 	for _, cf := range rep.Classes {
 		if cf.Result.Best == nil {
-			return fmt.Errorf("%s specialized search found no feasible machine", cf.Class)
+			return nil, fmt.Errorf("%s specialized search found no feasible machine", cf.Class)
 		}
 		gen := "(infeasible)"
 		if cf.GenericBest != nil {
@@ -259,41 +217,5 @@ func writeParetoReport(path string, seed int64) error {
 		fmt.Printf("pareto: %s specialized %s IPC/mm² %.5f vs %s (%+.1f%%)\n",
 			cf.Class, cf.Result.Best.Name(), cf.Result.Best.Metric("per_area"), gen, 100*cf.PerAreaGain)
 	}
-
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("pareto: report written to %s\n", path)
-	return nil
-}
-
-// runSearch runs one search on a fresh engine, so simulation counts are
-// honest (no cross-strategy cache help).
-func runSearch(sp search.Space, st search.Strategy, opts search.Options) (*search.Result, error) {
-	runner, err := sim.NewRunner(obsEngineOptions(0))
-	if err != nil {
-		return nil, err
-	}
-	defer runner.Close()
-	return search.NewDriver(runner).Search(context.Background(), sp, st, opts)
-}
-
-// assertMonotoneHV verifies the hypervolume trajectory never decreases —
-// true whenever the archive never prunes, which these budgets guarantee.
-func assertMonotoneHV(res *search.Result) error {
-	if len(res.Hypervolume) == 0 {
-		return fmt.Errorf("no hypervolume trajectory")
-	}
-	last := 0.0
-	for _, hp := range res.Hypervolume {
-		if hp.Hypervolume < last {
-			return fmt.Errorf("hypervolume fell from %v to %v at evaluation %d", last, hp.Hypervolume, hp.Evaluations)
-		}
-		last = hp.Hypervolume
-	}
-	return nil
+	return report, nil
 }

@@ -2,9 +2,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"hdsmt/internal/area"
 	"hdsmt/internal/config"
@@ -84,47 +82,43 @@ type powerReport struct {
 	} `json:"enriched_space"`
 }
 
-// writePowerReport runs the power benchmark. Every claim the CI smoke step
-// depends on is asserted here and fails the command loudly: every machine
-// and front member carries an energy value, the 4-objective front is
-// non-empty and mutually non-dominated with the ED/ED² incumbents on it,
-// and the budgeted strategies' Monte-Carlo hypervolume trajectories are
-// monotone (the estimator's fixed sampling box guarantees it for an
+// genPower runs the power benchmark. It fails on any broken claim: a
+// machine or front member without an energy value, an empty or mutually
+// dominated 4-objective front, or a Monte-Carlo hypervolume trajectory
+// that falls (the estimator's fixed sampling box rules that out for an
 // unpruned archive).
-func writePowerReport(path string, seed int64, full bool) error {
-	const wlName = "2W7"
-	wls := []workload.Workload{workload.MustByName(wlName)}
-	simOpt := sim.Options{Budget: 2_000, Warmup: 1_000}
-	report := powerReport{Name: "power-model", SimBudget: simOpt.Budget, SimWarmup: simOpt.Warmup,
-		Full: full, EnergyModel: config.DefaultEnergyModel()}
+func genPower(p params) (any, error) {
+	wls := []workload.Workload{workload.MustByName(searchWorkload)}
+	report := powerReport{Name: "power-model", SimBudget: searchSim.Budget, SimWarmup: searchSim.Warmup,
+		Full: p.full, EnergyModel: config.DefaultEnergyModel()}
 
 	// ---- Part 1: the six evaluated machines' energy baseline ------------
-	report.Baseline.Workload = wlName
+	report.Baseline.Workload = searchWorkload
 	runner, err := sim.NewRunner(obsEngineOptions(0))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer runner.Close()
-	w := workload.MustByName(wlName)
+	w := wls[0]
 	for _, cfg := range config.EvaluatedMicroarchs() {
 		m, err := sim.DefaultMapping(cfg, w)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		res, err := runner.Run(context.Background(), cfg, w, m, simOpt)
+		res, err := runner.Run(context.Background(), cfg, w, m, searchSim)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		eb, err := sim.EnergyOf(cfg.ForThreads(w.Threads()), res)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if eb.EPI <= 0 {
-			return fmt.Errorf("power: %s EPI = %v, want positive", cfg.Name, eb.EPI)
+			return nil, fmt.Errorf("%s EPI = %v, want positive", cfg.Name, eb.EPI)
 		}
 		a, err := area.Total(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		vals := metrics.Values{"ipc": res.IPC, "area": a, "energy": eb.EPI}
 		metrics.Finalize(vals)
@@ -145,30 +139,26 @@ func writePowerReport(path string, seed int64, full bool) error {
 	// ---- Part 2: the exhaustive 4-objective front -----------------------
 	objs, err := pareto.Parse("ipc,area,fairness,energy")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sp := search.NewSpace(3, 0, wls)
-	sp.QueueScales = []int{75, 100, 125}
+	sp := smallSpace(wls)
 	sp.FetchBufScales = []int{75, 100, 125}
-	sp.RemapIntervals = []uint64{0, sim.DefaultRemapInterval}
-	if full {
+	if p.full {
 		sp = search.EnrichedSpace(4, 0, wls)
 	}
-	report.FourObjective.Workloads = []string{wlName}
+	report.FourObjective.Workloads = []string{searchWorkload}
 	report.FourObjective.Genotypes = sp.Size()
 	report.FourObjective.Objectives = pareto.Keys(objs)
 
-	exh, err := runSearch(sp, search.Exhaustive{}, search.Options{
-		Sim: simOpt, Objectives: objs, ArchiveCap: 1 << 12, Telemetry: obs.reg,
-	})
+	exh, err := runSearch(sp, "exhaustive", search.Options{Sim: searchSim, Objectives: objs, ArchiveCap: 1 << 12})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(exh.Front) == 0 {
-		return fmt.Errorf("power: exhaustive 4-objective front is empty")
+		return nil, fmt.Errorf("exhaustive 4-objective front is empty")
 	}
 	if err := search.CheckFront(objs, exh.Front); err != nil {
-		return err
+		return nil, err
 	}
 	report.FourObjective.FrontSize = len(exh.Front)
 	report.FourObjective.Front = exh.Front
@@ -178,7 +168,7 @@ func writePowerReport(path string, seed int64, full bool) error {
 		fp := &exh.Front[i]
 		for _, key := range []string{"energy", "ed", "ed2"} {
 			if _, ok := fp.Values[key]; !ok {
-				return fmt.Errorf("power: front member %s has no %s value", fp.Name(), key)
+				return nil, fmt.Errorf("front member %s has no %s value", fp.Name(), key)
 			}
 		}
 		if report.FourObjective.EDIncumbent == nil || fp.Metric("ed") < report.FourObjective.EDIncumbent.Metric("ed") {
@@ -198,53 +188,21 @@ func writePowerReport(path string, seed int64, full bool) error {
 	enriched := search.EnrichedSpace(4, 0, wls)
 	report.EnrichedSpace.Genotypes = enriched.Size()
 	budget := 48
-	if full {
+	if p.full {
 		budget = 128
 	}
-	for _, name := range []string{"nsga2", "paco"} {
-		st, err := search.ByName(name)
-		if err != nil {
-			return err
-		}
-		// ArchiveCap above any reachable front size: a crowding prune can
-		// shrink the dominated region, and assertMonotoneHV would then fail
-		// the run (the default 64-member cap is only safe below 64
-		// evaluations).
-		res, err := runSearch(enriched, st, search.Options{
-			Budget: budget, Seed: seed, Sim: simOpt, Objectives: objs, ArchiveCap: 1 << 12, Telemetry: obs.reg,
-		})
-		if err != nil {
-			return err
-		}
-		if len(res.Front) == 0 {
-			return fmt.Errorf("power: %s produced an empty front", name)
-		}
-		if err := search.CheckFront(objs, res.Front); err != nil {
-			return fmt.Errorf("power: %s: %w", name, err)
-		}
-		if err := assertMonotoneHV(res); err != nil {
-			return fmt.Errorf("power: %s: %w", name, err)
-		}
-		switch name {
-		case "nsga2":
-			report.EnrichedSpace.NSGA2 = res
-		case "paco":
-			report.EnrichedSpace.PACO = res
-		}
-		last := res.Hypervolume[len(res.Hypervolume)-1]
-		fmt.Printf("power: %-6s front %d machines, MC hypervolume %.1f after %d evaluations\n",
-			name, len(res.Front), last.Hypervolume, res.Evaluations)
+	// ArchiveCap above any reachable front size: a crowding prune can
+	// shrink the dominated region, and assertMonotoneHV would then fail
+	// the run (the default 64-member cap is only safe below 64
+	// evaluations).
+	moOpts := search.Options{Budget: budget, Seed: seed, Sim: searchSim, Objectives: objs, ArchiveCap: 1 << 12}
+	if report.EnrichedSpace.NSGA2, err = frontSearch(enriched, "nsga2", moOpts); err != nil {
+		return nil, err
 	}
-
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
+	if report.EnrichedSpace.PACO, err = frontSearch(enriched, "paco", moOpts); err != nil {
+		return nil, err
 	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("power: report written to %s\n", path)
-	return nil
+	return report, nil
 }
 
 // frontVectors extracts the front's raw objective vectors.

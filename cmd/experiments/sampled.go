@@ -1,17 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"time"
 
-	"hdsmt/internal/config"
 	"hdsmt/internal/core"
-	"hdsmt/internal/mapping"
 	"hdsmt/internal/perf"
 	"hdsmt/internal/sim"
-	"hdsmt/internal/workload"
 )
 
 // The sampled-simulation benchmark (BENCH_PR10.json): the perf basket —
@@ -78,69 +72,32 @@ type sampledReport struct {
 	} `json:"criteria"`
 }
 
-// writeSampledReport runs the basket exactly and sampled, writes the
-// deterministic comparison to path, and fails if any acceptance criterion
-// (error bound, interval coverage, wall-clock speedup) does not hold.
-func writeSampledReport(path string, reps int) error {
-	cfg := config.MustParse(perf.BasketConfig)
+// genSampled runs the basket exactly and sampled and returns the
+// deterministic comparison, or an error if any acceptance criterion (error
+// bound, interval coverage, wall-clock speedup) does not hold.
+func genSampled(p params) (any, error) {
+	b, err := newBasket()
+	if err != nil {
+		return nil, err
+	}
 	sp := core.DefaultSampleParams()
 	units := (sampledBudget + sp.Detail - 1) / sp.Detail
 	covered := units * sp.Period
 
-	type cell struct {
-		w workload.Workload
-		m mapping.Mapping
-	}
-	var cells []cell
-	for _, name := range perf.BasketWorkloads() {
-		w := workload.MustByName(name)
-		m, err := sim.HeuristicMapping(cfg, w) // also warms the profile cache
-		if err != nil {
-			return err
-		}
-		cells = append(cells, cell{w, m})
-	}
-
 	// Both passes cover units×Period instructions of the leading thread's
 	// stream from the same cold start — the sampled run estimates the exact
-	// run, transient included, not an idealized steady state. Each pass is
-	// timed reps times — the simulation is deterministic, so the extra reps
-	// only stabilize the wall clock — and the fastest rep is kept.
-	exactOpt := sim.Options{Budget: covered}
-	sampledOpt := sim.Options{Budget: sampledBudget, Sample: sp}
-	pass := func(opt sim.Options) ([]core.Results, float64, error) {
-		var results []core.Results
-		best := 0.0
-		for rep := 0; rep < reps; rep++ {
-			rs := make([]core.Results, 0, len(cells))
-			start := time.Now()
-			for _, c := range cells {
-				r, err := sim.Run(cfg, c.w, c.m, opt)
-				if err != nil {
-					return nil, 0, err
-				}
-				rs = append(rs, r)
-			}
-			wall := time.Since(start).Seconds()
-			if rep == 0 || wall < best {
-				best = wall
-			}
-			results = rs
-		}
-		return results, best, nil
-	}
-
-	exact, exactWall, err := pass(exactOpt)
+	// run, transient included, not an idealized steady state.
+	exact, exactWall, _, err := b.pass(sim.Run, sim.Options{Budget: covered}, p.reps)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sampled, sampledWall, err := pass(sampledOpt)
+	sampled, sampledWall, _, err := b.pass(sim.Run, sim.Options{Budget: sampledBudget, Sample: sp}, p.reps)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	report := sampledReport{
-		Name:              fmt.Sprintf("sampled-HEUR/%s/%v", perf.BasketConfig, perf.BasketWorkloads()),
+		Name:              b.name("sampled-HEUR"),
 		Config:            perf.BasketConfig,
 		Workloads:         perf.BasketWorkloads(),
 		Period:            sp.Period,
@@ -155,7 +112,7 @@ func writeSampledReport(path string, reps int) error {
 	report.Criteria.MinSpeedup = minSpeedup
 
 	var exactInstr uint64
-	for i, c := range cells {
+	for i, c := range b.cells {
 		e, s := exact[i], sampled[i]
 		for _, n := range e.Committed {
 			exactInstr += n
@@ -188,24 +145,15 @@ func writeSampledReport(path string, reps int) error {
 		exactMIPS, sampledMIPS, speedup, report.DetailedFraction)
 
 	if report.MaxErrorPct > maxErrorPct {
-		return fmt.Errorf("worst IPC error %.2f%% exceeds the %.1f%% criterion", report.MaxErrorPct, maxErrorPct)
+		return nil, fmt.Errorf("worst IPC error %.2f%% exceeds the %.1f%% criterion", report.MaxErrorPct, maxErrorPct)
 	}
 	if !report.AllWithinCI {
-		return fmt.Errorf("a sampled estimate fell outside its own reported 95%% interval")
+		return nil, fmt.Errorf("a sampled estimate fell outside its own reported 95%% interval")
 	}
 	if speedup < minSpeedup {
-		return fmt.Errorf("measured speedup %.1fx is below the %.0fx criterion", speedup, minSpeedup)
+		return nil, fmt.Errorf("measured speedup %.1fx is below the %.0fx criterion", speedup, minSpeedup)
 	}
-
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("sampled: report written to %s\n", path)
-	return nil
+	return report, nil
 }
 
 func abs(x float64) float64 {

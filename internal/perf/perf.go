@@ -1,26 +1,11 @@
-// Package perf records the repository's performance trajectory: small,
-// machine-readable reports (BENCH_*.json) of how fast the simulator runs,
-// produced by cmd/experiments -perf and compared across PRs. A report
-// times the same workload basket on the optimized stepping path and on
-// the naive reference path (core.WithReferenceStepping), so every report
-// carries its own baseline: the speedup column is meaningful regardless
-// of the machine it was measured on.
+// Package perf defines the repository's standard simulator-throughput
+// basket: the §2.1 HEUR evaluation of the flagship heterogeneous
+// configuration across one workload per type (ILP, MEM, MIX).
+// cmd/experiments -perf and -sampled, BenchmarkEvaluateHEUR in
+// bench_test.go and the perfbench module all measure exactly this basket,
+// so their numbers track the same quantity.
 package perf
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
-	"time"
-)
-
-// The perf trajectory's standard measurement basket: the §2.1 HEUR
-// evaluation of the flagship heterogeneous configuration across one
-// workload per type (ILP, MEM, MIX). cmd/experiments -perf and
-// BenchmarkEvaluateHEUR in bench_test.go both measure exactly this
-// basket, so BENCH_*.json reports and `go test -bench` track the same
-// quantity across PRs.
 const (
 	BasketConfig = "2M4+2M2"
 	BasketBudget = 8_000
@@ -29,131 +14,3 @@ const (
 
 // BasketWorkloads lists the basket's workloads (ILP, MEM, MIX).
 func BasketWorkloads() []string { return []string{"2W1", "2W4", "2W7"} }
-
-// Sample is one timed measurement of a simulation workload.
-type Sample struct {
-	// Label names the workload (e.g. "evaluate-HEUR/2M4+2M2").
-	Label string `json:"label"`
-	// Mode is "optimized" (event-driven wakeup + idle fast-forward) or
-	// "reference" (naive per-cycle polling).
-	Mode string `json:"mode"`
-
-	WallSeconds  float64 `json:"wall_seconds"`
-	Instructions uint64  `json:"simulated_instructions"`
-	Cycles       uint64  `json:"simulated_cycles"`
-
-	// MIPS is millions of simulated instructions per wall second — the
-	// trajectory's headline number.
-	MIPS       float64 `json:"mips"`
-	NsPerCycle float64 `json:"ns_per_cycle"`
-
-	AllocsPerCycle float64 `json:"allocs_per_cycle"`
-	BytesPerCycle  float64 `json:"bytes_per_cycle"`
-}
-
-// Report is the on-disk trajectory record.
-type Report struct {
-	Benchmark string `json:"benchmark"`
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	CPUs      int    `json:"cpus"`
-
-	Samples []Sample `json:"samples"`
-
-	// Speedup maps each label to optimized-MIPS / reference-MIPS, filled
-	// by ComputeSpeedups once both modes are sampled.
-	Speedup map[string]float64 `json:"speedup,omitempty"`
-}
-
-// NewReport starts a report for the named benchmark on this machine.
-func NewReport(benchmark string) *Report {
-	return &Report{
-		Benchmark: benchmark,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		CPUs:      runtime.NumCPU(),
-	}
-}
-
-// Measure times f — which reports how many instructions and cycles it
-// simulated — and appends the sample. Allocation figures come from the
-// runtime's allocation counters, so f should run single-threaded for them
-// to be attributable.
-func (r *Report) Measure(label, mode string, f func() (instructions, cycles uint64, err error)) (Sample, error) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	instructions, cycles, err := f()
-	wall := time.Since(start).Seconds()
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		return Sample{}, fmt.Errorf("perf: measuring %s/%s: %w", label, mode, err)
-	}
-	s := Sample{
-		Label:        label,
-		Mode:         mode,
-		WallSeconds:  wall,
-		Instructions: instructions,
-		Cycles:       cycles,
-	}
-	if wall > 0 {
-		s.MIPS = float64(instructions) / wall / 1e6
-	}
-	if cycles > 0 {
-		s.NsPerCycle = wall * 1e9 / float64(cycles)
-		s.AllocsPerCycle = float64(after.Mallocs-before.Mallocs) / float64(cycles)
-		s.BytesPerCycle = float64(after.TotalAlloc-before.TotalAlloc) / float64(cycles)
-	}
-	r.Samples = append(r.Samples, s)
-	return s, nil
-}
-
-// ComputeSpeedups fills Speedup with optimized/reference MIPS per label.
-func (r *Report) ComputeSpeedups() {
-	mips := map[string]map[string]float64{}
-	for _, s := range r.Samples {
-		if mips[s.Label] == nil {
-			mips[s.Label] = map[string]float64{}
-		}
-		mips[s.Label][s.Mode] = s.MIPS
-	}
-	r.Speedup = map[string]float64{}
-	for label, m := range mips {
-		if ref, ok := m["reference"]; ok && ref > 0 {
-			if opt, ok := m["optimized"]; ok {
-				r.Speedup[label] = opt / ref
-			}
-		}
-	}
-	if len(r.Speedup) == 0 {
-		r.Speedup = nil
-	}
-}
-
-// WriteFile writes the report as indented JSON.
-func (r *Report) WriteFile(path string) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return fmt.Errorf("perf: encoding report: %w", err)
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return fmt.Errorf("perf: writing report: %w", err)
-	}
-	return nil
-}
-
-// ReadFile loads a previously written report (for cross-PR comparison).
-func ReadFile(path string) (*Report, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("perf: reading report: %w", err)
-	}
-	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("perf: decoding report %s: %w", path, err)
-	}
-	return &r, nil
-}

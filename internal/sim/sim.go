@@ -145,8 +145,8 @@ func Run(cfg config.Microarch, w workload.Workload, m mapping.Mapping, opt Optio
 // RunReference is Run on the core's naive reference stepping path (no
 // event-driven issue wakeup, no idle-cycle fast-forward). Results are
 // bit-identical to Run — the equivalence tests assert it — so its only
-// uses are as the oracle in those tests and as the self-contained baseline
-// of perf trajectory reports (cmd/experiments -perf).
+// uses are as the oracle in those tests and as the in-binary baseline of
+// cmd/experiments -perf, which fails if the two paths' counts differ.
 func RunReference(cfg config.Microarch, w workload.Workload, m mapping.Mapping, opt Options) (core.Results, error) {
 	specs, err := Specs(w)
 	if err != nil {
