@@ -2,7 +2,11 @@ package search
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -428,6 +432,45 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("genetic"); err == nil {
 		t.Error("unknown strategy must fail")
+	}
+}
+
+// TestStrategyTrajectoriesPinned pins every built-in strategy's walk: a
+// seed-1, budget-12 scalar run on the small space must marshal to the
+// Result JSON whose SHA-256 testdata/strategy_trajectories.sha256 records.
+// Refactors of the strategies must keep every trajectory byte-identical;
+// on a mismatch the test prints the new digest line.
+func TestStrategyTrajectoriesPinned(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "strategy_trajectories.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if f := strings.Fields(line); len(f) == 2 {
+			want[f[0]] = f[1]
+		}
+	}
+	sp := smallSpace(t)
+	for _, name := range StrategyNames() {
+		t.Run(name, func(t *testing.T) {
+			st, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := NewDriver(newTestRunner(t)).Search(context.Background(), sp, st,
+				Options{Budget: 12, Seed: 1, Sim: testSimOptions()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want[name] {
+				t.Errorf("trajectory digest changed; new line:\n%s %s", name, got)
+			}
+		})
 	}
 }
 
