@@ -197,7 +197,7 @@ func genPareto(params) (any, error) {
 		return nil, err
 	}
 	defer specRunner.Close()
-	rep, err := search.NewDriver(specRunner).Specialize(context.Background(), spec, search.NewNSGA2(),
+	rep, err := search.NewDriver(specRunner).Specialize(context.Background(), spec, search.NSGA2{},
 		search.Options{Budget: 16, Seed: seed, Sim: searchSim, Objectives: threeObjs, Telemetry: obs.reg})
 	if err != nil {
 		return nil, err

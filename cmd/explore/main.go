@@ -51,7 +51,7 @@ import (
 
 func main() {
 	var (
-		strategy  = flag.String("strategy", "exhaustive", "search strategy: exhaustive|random|hillclimb|hillclimb-seeded|aco|aco-seeded|nsga2|paco")
+		strategy  = flag.String("strategy", "exhaustive", "search strategy: "+strings.Join(search.StrategyNames(), "|"))
 		maxPipes  = flag.Int("maxpipes", 4, "maximum pipelines per candidate")
 		areaCap   = flag.Float64("areacap", 0, "area budget in mm² (0 = unlimited)")
 		wlList    = flag.String("workloads", "2W7,4W6", "comma-separated workload set")

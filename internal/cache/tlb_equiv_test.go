@@ -53,7 +53,7 @@ func TestTLBMatchesScanReference(t *testing.T) {
 			case 1: // warm set around capacity, churn
 				addr = uint64(rng.Intn(entries*2)) << fast.pageShift
 			default: // cold sweep
-				addr = uint64(rng.Intn(1 << 20)) * 64
+				addr = uint64(rng.Intn(1<<20)) * 64
 			}
 			if got, want := fast.Access(addr), ref.access(addr); got != want {
 				t.Fatalf("seed %d access %d addr %#x: hit=%v, reference=%v", seed, n, addr, got, want)

@@ -6,40 +6,28 @@ import (
 )
 
 // ACO is an ant-colony optimizer over the space's categorical dimensions,
-// after Carr & Wang's FaSACO: a pheromone table holds one trail level per
-// (dimension, choice); each iteration a cohort of ants builds points by
-// roulette selection proportional to the trails, the cohort is evaluated
-// as one engine batch, trails evaporate, and the iteration's best ant plus
-// the global best deposit pheromone scaled by solution quality (elitism).
-// A trail floor keeps every choice reachable, so the colony explores
-// forever instead of collapsing onto an early local optimum.
+// after Carr & Wang's FaSACO: it releases cohorts from the shared
+// pheromone model (trails), evaluating each cohort as one engine batch,
+// and after evaporation the iteration's best ant plus the global best
+// deposit pheromone scaled by solution quality (elitism).
 type ACO struct {
-	// Ants per iteration (one evaluation batch).
-	Ants int
-	// Evaporation is the per-iteration trail decay in (0, 1).
-	Evaporation float64
-	// Deposit scales the pheromone laid by the iteration and global best.
-	Deposit float64
-	// Elite weights the global best's deposit relative to the iteration
-	// best's.
-	Elite float64
-	// TrailFloor is the minimum trail level per choice.
-	TrailFloor float64
 	// Seeded initializes the trails from the space's area-normalized
 	// issue-width prior (Space.Priors) instead of uniform levels, biasing
 	// the first cohorts toward width-per-mm²-efficient machines.
 	Seeded bool
 }
 
-// NewACO returns the default colony parameters — 6 ants, 45% evaporation,
-// unit deposit, triple-weight elite, 2% trail floor — tuned for the tight
-// budgets guided search is for (tens to hundreds of evaluations): small
-// cohorts buy more pheromone updates per budget, and fast evaporation
-// with a strong elite converges quickly while the trail floor keeps every
-// choice reachable.
-func NewACO() ACO {
-	return ACO{Ants: 6, Evaporation: 0.45, Deposit: 1.0, Elite: 3.0, TrailFloor: 0.02}
-}
+const (
+	// acoDeposit scales the pheromone laid by the iteration and global best.
+	acoDeposit = 1.0
+	// acoElite weights the global best's deposit relative to the iteration
+	// best's: a strong elite converges quickly on tight budgets.
+	acoElite = 3.0
+)
+
+// NewACO returns the unseeded colony. It is kept for the perfbench module,
+// which builds its search workload with it; ACO{} is the same strategy.
+func NewACO() ACO { return ACO{} }
 
 // Name identifies the strategy.
 func (a ACO) Name() string {
@@ -51,60 +39,9 @@ func (a ACO) Name() string {
 
 // Run releases ant cohorts until the evaluation budget runs out.
 func (a ACO) Run(ctx context.Context, sp *Space, rng *rand.Rand, eval Evaluator) error {
-	defaults := NewACO()
-	if a.Ants <= 0 {
-		a.Ants = defaults.Ants
-	}
-	if a.Evaporation <= 0 || a.Evaporation >= 1 {
-		a.Evaporation = defaults.Evaporation
-	}
-	if a.Deposit <= 0 {
-		a.Deposit = defaults.Deposit
-	}
-	if a.Elite <= 0 {
-		a.Elite = defaults.Elite
-	}
-	if a.TrailFloor <= 0 {
-		a.TrailFloor = defaults.TrailFloor
-	}
-
-	dims := sp.Dims()
-	var tau [][]float64
+	tau := uniformTrails(sp.Dims())
 	if a.Seeded {
 		tau = sp.Priors()
-	} else {
-		tau = make([][]float64, len(dims))
-		for d, n := range dims {
-			tau[d] = make([]float64, n)
-			for c := range tau[d] {
-				tau[d][c] = 1.0
-			}
-		}
-	}
-
-	construct := func() Point {
-		pt := make(Point, len(dims))
-		for d := range dims {
-			total := 0.0
-			for _, t := range tau[d] {
-				total += t
-			}
-			r := rng.Float64() * total
-			for c, t := range tau[d] {
-				r -= t
-				if r < 0 {
-					pt[d] = c
-					break
-				}
-			}
-		}
-		return pt
-	}
-
-	deposit := func(pt Point, amount float64) {
-		for d, c := range pt {
-			tau[d][c] += amount
-		}
 	}
 
 	var best Point
@@ -113,10 +50,7 @@ func (a ACO) Run(ctx context.Context, sp *Space, rng *rand.Rand, eval Evaluator)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ants := make([]Point, a.Ants)
-		for i := range ants {
-			ants[i] = construct()
-		}
+		ants := tau.cohort(rng)
 		scores, err := eval(ctx, ants)
 
 		iterBest := -1
@@ -132,26 +66,16 @@ func (a ACO) Run(ctx context.Context, sp *Space, rng *rand.Rand, eval Evaluator)
 			}
 		}
 
-		// Evaporate, deposit, floor. Quality is normalized by the global
-		// best so deposits stay O(Deposit) as absolute IPC/mm² varies.
-		for d := range tau {
-			for c := range tau[d] {
-				tau[d][c] *= 1 - a.Evaporation
-			}
-		}
+		// Quality is normalized by the global best so deposits stay
+		// O(acoDeposit) as absolute IPC/mm² varies.
+		tau.evaporate()
 		if iterBest >= 0 && bestScore.Metric("per_area") > 0 {
-			deposit(ants[iterBest], a.Deposit*scores[iterBest].Metric("per_area")/bestScore.Metric("per_area"))
+			tau.deposit(ants[iterBest], acoDeposit*scores[iterBest].Metric("per_area")/bestScore.Metric("per_area"))
 		}
 		if best != nil {
-			deposit(best, a.Deposit*a.Elite)
+			tau.deposit(best, acoDeposit*acoElite)
 		}
-		for d := range tau {
-			for c := range tau[d] {
-				if tau[d][c] < a.TrailFloor {
-					tau[d][c] = a.TrailFloor
-				}
-			}
-		}
+		tau.floor()
 
 		if done, err := stop(err); done {
 			return err

@@ -42,9 +42,9 @@ type Options struct {
 	// per-benchmark alone simulations into every first visit.
 	Objectives []pareto.Objective
 	// ArchiveCap bounds the non-dominated archive (crowding-distance
-	// pruning beyond it; 0 = pareto.DefaultArchiveCap). Pruning can make
-	// the hypervolume trajectory non-monotone — size the cap above the
-	// expected front for indicator studies.
+	// pruning beyond it; 0 = pareto.DefaultArchiveCap, negative is an
+	// error). Pruning can make the hypervolume trajectory non-monotone —
+	// size the cap above the expected front for indicator studies.
 	ArchiveCap int
 	// ArchivePath, when non-empty on a multi-objective run, persists the
 	// non-dominated archive as JSON at this path (atomic rewrite on every
@@ -231,6 +231,9 @@ func (d *Driver) Search(ctx context.Context, sp Space, st Strategy, opts Options
 	}
 	if st == nil {
 		return nil, fmt.Errorf("search: nil strategy")
+	}
+	if opts.ArchiveCap < 0 {
+		return nil, fmt.Errorf("search: archive cap %d must not be negative (0 = default)", opts.ArchiveCap)
 	}
 
 	res := &Result{

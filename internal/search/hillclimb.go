@@ -12,10 +12,6 @@ import (
 // optimum. Memoized revisits cost nothing, so climbs that cross earlier
 // trajectories stay cheap.
 type HillClimb struct {
-	// MaxStartTries bounds the decode-only feasibility probes per restart
-	// (0 = default). Probing is free — no simulation — but must terminate
-	// on spaces with no feasible points.
-	MaxStartTries int
 	// Seeded starts the *first* climb from the best of its feasible probes
 	// under the area-normalized issue-width proxy (IssueWidthProxy)
 	// instead of the first one — the same decode-only probes, ranked by
@@ -25,6 +21,11 @@ type HillClimb struct {
 	// instead of exploring.
 	Seeded bool
 }
+
+// hillClimbStartTries bounds the decode-only feasibility probes per
+// restart. Probing is free — no simulation — but must terminate on spaces
+// with no feasible points.
+const hillClimbStartTries = 256
 
 // Name identifies the strategy.
 func (h HillClimb) Name() string {
@@ -36,16 +37,12 @@ func (h HillClimb) Name() string {
 
 // Run climbs until the evaluation budget runs out.
 func (h HillClimb) Run(ctx context.Context, sp *Space, rng *rand.Rand, eval Evaluator) error {
-	tries := h.MaxStartTries
-	if tries <= 0 {
-		tries = 256
-	}
 	dims := sp.Dims()
 	// fallbackStart hands out feasible starts in enumeration order when
 	// random probing keeps missing (tight area caps can push the feasible
-	// fraction below 1/tries): the nth call yields the nth decodable
-	// point, and nil once the enumeration is spent — ending the search
-	// instead of aborting a space that does have feasible machines.
+	// fraction below 1/hillClimbStartTries): the nth call yields the nth
+	// decodable point, and nil once the enumeration is spent — ending the
+	// search instead of aborting a space that does have feasible machines.
 	fallbacks := 0
 	fallbackStart := func() Point {
 		var start Point
@@ -73,7 +70,7 @@ func (h HillClimb) Run(ctx context.Context, sp *Space, rng *rand.Rand, eval Eval
 		// ranks the probes by the issue-width proxy and keeps the best.
 		var start Point
 		bestProxy := 0.0
-		for i := 0; i < tries; i++ {
+		for i := 0; i < hillClimbStartTries; i++ {
 			p := sp.RandomPoint(rng.Intn)
 			c, err := sp.Decode(p)
 			if err != nil {

@@ -13,59 +13,40 @@ import (
 // NSGA-II: a population evolves by binary-tournament selection on
 // (non-domination rank, crowding distance), uniform crossover and
 // per-dimension mutation; each generation the parent and offspring
-// populations are merged and the best Pop individuals survive — so a
+// populations are merged and the best nsgaPop individuals survive — so a
 // non-dominated point is never lost to drift. Scores' gain vectors (the
 // driver's Score.Objectives) drive dominance, so the same strategy runs
 // multi-objective fronts and — degenerately but correctly — scalar
 // searches.
-type NSGA2 struct {
-	// Pop is the population size (one evaluation batch per generation).
-	Pop int
-	// CrossProb is the per-offspring uniform-crossover probability.
-	CrossProb float64
-	// MutProb is the per-dimension mutation probability (0 = 1/dims, the
-	// canonical rate).
-	MutProb float64
-	// StartTries bounds the decode-only feasibility probes per initial
-	// individual; probing is free but must terminate on hostile spaces.
-	StartTries int
-}
+type NSGA2 struct{}
 
-// NewNSGA2 returns the default parameters: a 16-individual population —
-// small enough that tight budgets still see several generations — with 90%
-// crossover and canonical 1/dims mutation.
-func NewNSGA2() NSGA2 {
-	return NSGA2{Pop: 16, CrossProb: 0.9, StartTries: 64}
-}
+const (
+	// nsgaPop is the population size (one evaluation batch per
+	// generation): small enough that tight budgets still see several
+	// generations.
+	nsgaPop = 16
+	// nsgaCrossProb is the per-offspring uniform-crossover probability.
+	nsgaCrossProb = 0.9
+	// nsgaStartTries bounds the decode-only feasibility probes per initial
+	// individual; probing is free but must terminate on hostile spaces.
+	nsgaStartTries = 64
+)
 
 // Name identifies the strategy.
 func (NSGA2) Name() string { return "nsga2" }
 
 // Run evolves generations until the evaluation budget runs out.
-func (n NSGA2) Run(ctx context.Context, sp *Space, rng *rand.Rand, eval Evaluator) error {
-	defaults := NewNSGA2()
-	if n.Pop < 2 {
-		n.Pop = defaults.Pop
-	}
-	if n.CrossProb <= 0 || n.CrossProb > 1 {
-		n.CrossProb = defaults.CrossProb
-	}
-	if n.StartTries <= 0 {
-		n.StartTries = defaults.StartTries
-	}
+func (NSGA2) Run(ctx context.Context, sp *Space, rng *rand.Rand, eval Evaluator) error {
 	dims := sp.Dims()
-	mutProb := n.MutProb
-	if mutProb <= 0 {
-		mutProb = 1 / float64(len(dims))
-	}
+	mutProb := 1 / float64(len(dims)) // the canonical per-dimension rate
 
 	// Initial population: feasibility-probed random points (decode-only,
 	// free); a hostile space falls back to raw random points, which the
 	// evaluator scores as infeasible without charge.
-	pop := make([]Point, n.Pop)
+	pop := make([]Point, nsgaPop)
 	for i := range pop {
 		pop[i] = sp.RandomPoint(rng.Intn)
-		for try := 0; try < n.StartTries; try++ {
+		for try := 0; try < nsgaStartTries; try++ {
 			if _, err := sp.Decode(pop[i]); err == nil {
 				break
 			}
@@ -96,11 +77,11 @@ func (n NSGA2) Run(ctx context.Context, sp *Space, rng *rand.Rand, eval Evaluato
 			}
 			return a
 		}
-		offspring := make([]Point, n.Pop)
+		offspring := make([]Point, nsgaPop)
 		for i := range offspring {
 			a, b := pop[tournament()], pop[tournament()]
 			child := a.Clone()
-			if rng.Float64() < n.CrossProb {
+			if rng.Float64() < nsgaCrossProb {
 				for d := range child {
 					if rng.Intn(2) == 1 {
 						child[d] = b[d]
@@ -128,7 +109,7 @@ func (n NSGA2) Run(ctx context.Context, sp *Space, rng *rand.Rand, eval Evaluato
 		sort.SliceStable(order, func(x, y int) bool {
 			return nsgaLess(mRank, mCrowd, order[x], order[y])
 		})
-		keep := n.Pop
+		keep := nsgaPop
 		if keep > len(order) {
 			keep = len(order)
 		}

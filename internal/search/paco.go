@@ -7,86 +7,31 @@ import (
 	"hdsmt/internal/pareto"
 )
 
-// PACO is a Pareto ant-colony strategy: the pheromone model of ACO (one
-// trail level per dimension choice, roulette construction, evaporation,
-// trail floor) with the deposit rule replaced by an archive of mutually
-// non-dominated solutions — every iteration, each archive member deposits
-// an equal share of the colony's pheromone budget along its own genotype,
-// so the trails model the whole front rather than collapsing onto one
-// scalar incumbent. Crowding-distance pruning bounds the archive, keeping
-// deposits spread across the front's span rather than its densest cluster.
-type PACO struct {
-	// Ants per iteration (one evaluation batch).
-	Ants int
-	// Evaporation is the per-iteration trail decay in (0, 1).
-	Evaporation float64
-	// Deposit is the colony's per-iteration pheromone budget, split evenly
-	// across archive members.
-	Deposit float64
-	// TrailFloor is the minimum trail level per choice.
-	TrailFloor float64
-	// ArchiveCap bounds the strategy's internal archive (crowding pruning
-	// beyond it).
-	ArchiveCap int
-}
+// PACO is a Pareto ant-colony strategy: ACO's pheromone model (trails)
+// with the deposit rule replaced by an archive of mutually non-dominated
+// solutions — every iteration, each archive member deposits an equal share
+// of the colony's pheromone budget along its own genotype, so the trails
+// model the whole front rather than collapsing onto one scalar incumbent.
+// Crowding-distance pruning bounds the archive, keeping deposits spread
+// across the front's span rather than its densest cluster.
+type PACO struct{}
 
-// NewPACO returns the default colony: ACO's tight-budget tuning (6 ants,
-// 45% evaporation, 2% floor) with a 24-member archive and a doubled
-// deposit budget — the deposit is split across the front, so each member's
-// share must stay visible against evaporation.
-func NewPACO() PACO {
-	return PACO{Ants: 6, Evaporation: 0.45, Deposit: 2.0, TrailFloor: 0.02, ArchiveCap: 24}
-}
+const (
+	// pacoDeposit is the colony's per-iteration pheromone budget, split
+	// evenly across archive members: double ACO's, so each member's share
+	// stays visible against evaporation.
+	pacoDeposit = 2.0
+	// pacoArchiveCap bounds the strategy's internal archive (crowding
+	// pruning beyond it).
+	pacoArchiveCap = 24
+)
 
 // Name identifies the strategy.
 func (PACO) Name() string { return "paco" }
 
 // Run releases ant cohorts until the evaluation budget runs out.
-func (p PACO) Run(ctx context.Context, sp *Space, rng *rand.Rand, eval Evaluator) error {
-	defaults := NewPACO()
-	if p.Ants <= 0 {
-		p.Ants = defaults.Ants
-	}
-	if p.Evaporation <= 0 || p.Evaporation >= 1 {
-		p.Evaporation = defaults.Evaporation
-	}
-	if p.Deposit <= 0 {
-		p.Deposit = defaults.Deposit
-	}
-	if p.TrailFloor <= 0 {
-		p.TrailFloor = defaults.TrailFloor
-	}
-	if p.ArchiveCap <= 0 {
-		p.ArchiveCap = defaults.ArchiveCap
-	}
-
-	dims := sp.Dims()
-	tau := make([][]float64, len(dims))
-	for d, nChoices := range dims {
-		tau[d] = make([]float64, nChoices)
-		for c := range tau[d] {
-			tau[d][c] = 1.0
-		}
-	}
-
-	construct := func() Point {
-		pt := make(Point, len(dims))
-		for d := range dims {
-			total := 0.0
-			for _, t := range tau[d] {
-				total += t
-			}
-			r := rng.Float64() * total
-			for c, t := range tau[d] {
-				r -= t
-				if r < 0 {
-					pt[d] = c
-					break
-				}
-			}
-		}
-		return pt
-	}
+func (PACO) Run(ctx context.Context, sp *Space, rng *rand.Rand, eval Evaluator) error {
+	tau := uniformTrails(sp.Dims())
 
 	// The archive lives in gain space (Score.Objectives is already
 	// maximization-oriented), keyed by the decoded candidate's canonical
@@ -100,10 +45,7 @@ func (p PACO) Run(ctx context.Context, sp *Space, rng *rand.Rand, eval Evaluator
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ants := make([]Point, p.Ants)
-		for i := range ants {
-			ants[i] = construct()
-		}
+		ants := tau.cohort(rng)
 		scores, err := eval(ctx, ants)
 
 		for i := range scores {
@@ -115,33 +57,21 @@ func (p PACO) Run(ctx context.Context, sp *Space, rng *rand.Rand, eval Evaluator
 				continue // cannot happen for a feasible score; stay safe
 			}
 			if archive == nil {
-				archive = pareto.NewArchive(pareto.GainObjectives(len(scores[i].Objectives)), p.ArchiveCap)
+				archive = pareto.NewArchive(pareto.GainObjectives(len(scores[i].Objectives)), pacoArchiveCap)
 			}
 			archive.Add(pareto.Entry{Key: cand.Key(), Vector: scores[i].Objectives.Clone(), Payload: ants[i].Clone()})
 		}
 
 		// Evaporate, then let the front deposit: an equal share of the
 		// colony budget per member, laid along the member's own genotype.
-		for d := range tau {
-			for c := range tau[d] {
-				tau[d][c] *= 1 - p.Evaporation
-			}
-		}
+		tau.evaporate()
 		if archive != nil && archive.Len() > 0 {
-			share := p.Deposit / float64(archive.Len())
+			share := pacoDeposit / float64(archive.Len())
 			for _, m := range archive.Members() {
-				for d, c := range m.Payload.(Point) {
-					tau[d][c] += share
-				}
+				tau.deposit(m.Payload.(Point), share)
 			}
 		}
-		for d := range tau {
-			for c := range tau[d] {
-				if tau[d][c] < p.TrailFloor {
-					tau[d][c] = p.TrailFloor
-				}
-			}
-		}
+		tau.floor()
 
 		if done, err := stop(err); done {
 			return err

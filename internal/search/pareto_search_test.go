@@ -168,7 +168,7 @@ func TestMultiObjectiveRun(t *testing.T) {
 	sp := smallSpace(t)
 	objs := mustObjectives(t, "ipc,area")
 	r := newTestRunner(t)
-	res, err := NewDriver(r).Search(context.Background(), sp, NewNSGA2(), Options{
+	res, err := NewDriver(r).Search(context.Background(), sp, NSGA2{}, Options{
 		Budget: 24, Seed: 7, Sim: testSimOptions(), Objectives: objs,
 	})
 	if err != nil {
@@ -311,7 +311,7 @@ func TestSpecialize(t *testing.T) {
 	}
 	sp := NewSpace(2, 0, wls)
 	r := newTestRunner(t)
-	rep, err := NewDriver(r).Specialize(context.Background(), sp, NewNSGA2(), Options{
+	rep, err := NewDriver(r).Specialize(context.Background(), sp, NSGA2{}, Options{
 		Budget: 8, Seed: 5, Sim: testSimOptions(),
 		Objectives: mustObjectives(t, "ipc,area"),
 	})

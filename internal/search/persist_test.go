@@ -159,7 +159,7 @@ func TestFourObjectiveSearch(t *testing.T) {
 	sp := smallSpace(t)
 	objs := mustObjectives(t, "ipc,area,fairness,energy")
 	r := newTestRunner(t)
-	res, err := NewDriver(r).Search(context.Background(), sp, NewNSGA2(), Options{
+	res, err := NewDriver(r).Search(context.Background(), sp, NSGA2{}, Options{
 		Budget: 8, Seed: 5, Sim: testSimOptions(), Objectives: objs,
 	})
 	if err != nil {

@@ -27,12 +27,11 @@ func IssueWidthProxy(c Candidate) float64 {
 	return float64(c.Cfg.TotalWidth()) / c.Area
 }
 
-// Priors returns per-dimension initial pheromone levels derived from the
-// per-model proxy: on each pipeline-slot dimension, choosing model m
-// starts at 1 + priorBoost·(proxy(m)/maxProxy), "none" and every enriched
-// axis stay at the neutral 1.0. The slice is indexed like Dims().
-func (s *Space) Priors() [][]float64 {
-	dims := s.Dims()
+// Priors returns the initial pheromone trails derived from the per-model
+// proxy: on each pipeline-slot dimension, choosing model m starts at
+// 1 + priorBoost·(proxy(m)/maxProxy), "none" and every enriched axis stay
+// at the neutral 1.0. The table is indexed like Dims().
+func (s *Space) Priors() trails {
 	proxies := make([]float64, len(s.Models))
 	maxProxy := 0.0
 	for i, m := range s.Models {
@@ -45,18 +44,13 @@ func (s *Space) Priors() [][]float64 {
 			maxProxy = proxies[i]
 		}
 	}
-	out := make([][]float64, len(dims))
-	for d := range dims {
-		w := make([]float64, dims[d])
-		for c := range w {
-			w[c] = 1.0
-		}
-		if d < s.MaxPipes && maxProxy > 0 {
+	out := uniformTrails(s.Dims())
+	if maxProxy > 0 {
+		for d := 0; d < s.MaxPipes; d++ {
 			for i, p := range proxies {
-				w[i+1] = 1 + priorBoost*p/maxProxy // choice 0 is "none"
+				out[d][i+1] = 1 + priorBoost*p/maxProxy // choice 0 is "none"
 			}
 		}
-		out[d] = w
 	}
 	return out
 }

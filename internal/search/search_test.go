@@ -96,6 +96,11 @@ func TestSpaceValidate(t *testing.T) {
 		t.Error("unknown policy must fail")
 	}
 	bad = ok
+	bad.AreaCap = -5
+	if err := bad.Validate(); err == nil {
+		t.Error("negative area cap must fail")
+	}
+	bad = ok
 	bad.QueueScales = []int{0}
 	if err := bad.Validate(); err == nil {
 		t.Error("zero queue scale must fail")
@@ -289,7 +294,7 @@ func TestTrajectoryDeterminism(t *testing.T) {
 	sp := smallSpace(t)
 	run := func() []byte {
 		r := newTestRunner(t)
-		res, err := NewDriver(r).Search(context.Background(), sp, NewACO(),
+		res, err := NewDriver(r).Search(context.Background(), sp, ACO{},
 			Options{Budget: 20, Seed: 42, Sim: testSimOptions()})
 		if err != nil {
 			t.Fatal(err)
@@ -475,34 +480,38 @@ func TestStrategyTrajectoriesPinned(t *testing.T) {
 }
 
 // TestHillClimbTightAreaCap: when random probing cannot find a feasible
-// start (the cap leaves a sub-1/256 feasible fraction), hillclimb must
-// still search via enumeration-order fallbacks rather than abort.
+// start, hillclimb must still search via enumeration-order fallbacks rather
+// than abort. Eight pipeline slots under tight caps push the decodable
+// fraction far below 1/hillClimbStartTries (1/8192 under 20 mm², 1/1820
+// under 35 mm²), so both halves reach fallbackStart.
 func TestHillClimbTightAreaCap(t *testing.T) {
-	// Only the single-M2 machines fit under 20 mm²; the 2-thread workload
-	// then makes them context-infeasible, but the search must still
-	// terminate cleanly rather than error out.
-	sp := NewSpace(4, 20, testWorkloads(t))
-	sp.QueueScales = []int{75, 100}
-	r := newTestRunner(t)
-	res, err := NewDriver(r).Search(context.Background(), sp, HillClimb{MaxStartTries: 4},
-		Options{Budget: 10, Seed: 1, Sim: testSimOptions()})
-	if err != nil {
-		t.Fatalf("tight-cap hillclimb errored: %v", err)
+	tight := func(areaCap float64) Space {
+		sp := NewSpace(8, areaCap, testWorkloads(t))
+		sp.QueueScales = []int{75, 100}
+		return sp
 	}
-	if res.Best != nil {
-		t.Errorf("no machine fits 2 threads under the cap, got best %s", res.Best.Config)
-	}
-
-	// With a cap that admits 2M2 variants, the fallback must find them.
-	sp2 := NewSpace(4, 35, testWorkloads(t))
-	sp2.QueueScales = []int{75, 100}
-	r2 := newTestRunner(t)
-	res2, err := NewDriver(r2).Search(context.Background(), sp2, HillClimb{MaxStartTries: 1},
-		Options{Budget: 10, Seed: 1, Sim: testSimOptions()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Best == nil {
-		t.Fatal("hillclimb found nothing despite feasible 2M2 machines under the cap")
-	}
+	t.Run("infeasible", func(t *testing.T) {
+		// Only the single-M2 machines fit under 20 mm²; the 2-thread
+		// workload then makes them context-infeasible, but the search must
+		// still terminate cleanly rather than error out.
+		res, err := NewDriver(newTestRunner(t)).Search(context.Background(), tight(20), HillClimb{},
+			Options{Budget: 10, Seed: 1, Sim: testSimOptions()})
+		if err != nil {
+			t.Fatalf("tight-cap hillclimb errored: %v", err)
+		}
+		if res.Best != nil {
+			t.Errorf("no machine fits 2 threads under the cap, got best %s", res.Best.Config)
+		}
+	})
+	t.Run("feasible", func(t *testing.T) {
+		// With a cap that admits 2M2 variants, the fallback must find them.
+		res, err := NewDriver(newTestRunner(t)).Search(context.Background(), tight(35), HillClimb{},
+			Options{Budget: 10, Seed: 1, Sim: testSimOptions()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Best == nil {
+			t.Fatal("hillclimb found nothing despite feasible 2M2 machines under the cap")
+		}
+	})
 }

@@ -42,7 +42,8 @@ type Space struct {
 	Models []config.Model
 	// MaxPipes bounds the pipeline count per configuration.
 	MaxPipes int
-	// AreaCap, when positive, rejects machines above this area (mm²).
+	// AreaCap, when positive, rejects machines above this area (mm²); 0
+	// means no cap, and Validate rejects a negative one.
 	AreaCap float64
 	// Policies are the fetch-policy choices by name; "" means the
 	// configuration's default (FLUSH monolithic, L1MCOUNT multipipeline).
@@ -103,6 +104,9 @@ const MaxSpaceSize = 1 << 22
 func (s *Space) Validate() error {
 	if s.MaxPipes < 1 {
 		return fmt.Errorf("search: MaxPipes %d must be at least 1", s.MaxPipes)
+	}
+	if s.AreaCap < 0 {
+		return fmt.Errorf("search: area cap %v must not be negative (0 = no cap)", s.AreaCap)
 	}
 	if len(s.Models) == 0 {
 		return fmt.Errorf("search: no pipeline models to choose from")

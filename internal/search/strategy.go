@@ -93,36 +93,33 @@ type Strategy interface {
 	Run(ctx context.Context, sp *Space, rng *rand.Rand, eval Evaluator) error
 }
 
-// ByName resolves a strategy: "exhaustive", "random", "hillclimb", "aco",
-// their proxy-seeded variants "hillclimb-seeded"/"aco-seeded", and the
-// multi-objective "nsga2" and "paco".
+// strategies lists the built-in strategies in presentation order: the
+// exhaustive baseline, uniform random, hill-climbing and ant colony with
+// their proxy-seeded variants, and the multi-objective nsga2 and paco.
+var strategies = []Strategy{
+	Exhaustive{}, Random{},
+	HillClimb{}, HillClimb{Seeded: true},
+	ACO{}, ACO{Seeded: true},
+	NSGA2{}, PACO{},
+}
+
+// ByName resolves one of the built-in strategies by its Name.
 func ByName(name string) (Strategy, error) {
-	switch name {
-	case "exhaustive":
-		return Exhaustive{}, nil
-	case "random":
-		return Random{}, nil
-	case "hillclimb":
-		return HillClimb{}, nil
-	case "hillclimb-seeded":
-		return HillClimb{Seeded: true}, nil
-	case "aco":
-		return NewACO(), nil
-	case "aco-seeded":
-		a := NewACO()
-		a.Seeded = true
-		return a, nil
-	case "nsga2":
-		return NewNSGA2(), nil
-	case "paco":
-		return NewPACO(), nil
+	for _, st := range strategies {
+		if st.Name() == name {
+			return st, nil
+		}
 	}
 	return nil, fmt.Errorf("search: unknown strategy %q (want one of %v)", name, StrategyNames())
 }
 
-// StrategyNames lists the built-in strategies in presentation order.
+// StrategyNames lists the built-in strategies' names in presentation order.
 func StrategyNames() []string {
-	return []string{"exhaustive", "random", "hillclimb", "hillclimb-seeded", "aco", "aco-seeded", "nsga2", "paco"}
+	names := make([]string, len(strategies))
+	for i, st := range strategies {
+		names[i] = st.Name()
+	}
+	return names
 }
 
 // stop folds an Evaluator error into the strategy's control flow: budget

@@ -98,7 +98,8 @@ type JobSpec struct {
 	OracleBudget uint64 `json:"oracle_budget,omitempty"`
 	MaxOracle    int    `json:"max_oracle,omitempty"`
 
-	// search jobs only. Strategy is exhaustive|random|hillclimb|aco.
+	// search jobs only. Strategy is one of search.StrategyNames (pareto
+	// jobs default it to nsga2).
 	// SearchBudget bounds charged point evaluations (required for the
 	// guided strategies, ignored for exhaustive — a truncated enumeration
 	// would be a false ground truth); Seed drives the strategy's
@@ -980,6 +981,9 @@ func (s *Server) resolveSearch(spec JobSpec) (search.Space, search.Strategy, sea
 		if err != nil {
 			return zero, nil, search.Options{}, err
 		}
+		if spec.ArchiveCap < 0 {
+			return zero, nil, search.Options{}, fmt.Errorf("archive_cap %d must not be negative (0 = default)", spec.ArchiveCap)
+		}
 		opts.Objectives = objs
 		opts.ArchiveCap = spec.ArchiveCap
 		if spec.Archive != "" {
@@ -1273,8 +1277,13 @@ func (s *Server) markRunning(j *job) {
 func (s *Server) settle(ctx context.Context, j *job, result any, err error) {
 	deadline := errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(ctx.Err(), context.DeadlineExceeded)
+	// The job metrics settle before the state does, so a client that sees
+	// the job settled also sees it out of flight and in the histogram.
+	finished := time.Now()
+	s.jobInflight.Dec()
+	s.jobSeconds.With(j.spec.Kind).Observe(finished.Sub(j.created).Seconds())
 	j.mu.Lock()
-	j.finished = time.Now()
+	j.finished = finished
 	switch {
 	case err == nil:
 		j.state = "done"
@@ -1290,7 +1299,6 @@ func (s *Server) settle(ctx context.Context, j *job, result any, err error) {
 		j.errmsg = err.Error()
 	}
 	ev := jobEvent{Event: j.state, Error: j.errmsg, Finished: rfc3339(j.finished)}
-	dur := j.finished.Sub(j.created)
 	kind, tenant, state, errmsg := j.spec.Kind, j.tenant, j.state, j.errmsg
 	started := j.started
 	if j.state == "done" {
@@ -1317,8 +1325,6 @@ func (s *Server) settle(ctx context.Context, j *job, result any, err error) {
 		j.log.Warn("job settled", obslog.F("state", state), obslog.F("kind", kind),
 			obslog.F("err", errmsg))
 	}
-	s.jobInflight.Dec()
-	s.jobSeconds.With(kind).Observe(dur.Seconds())
 	s.adm.release(tenant)
 	j.cancel() // releases the deadline timer
 }

@@ -239,6 +239,8 @@ func TestValidationAndErrors(t *testing.T) {
 		server.JobSpec{Kind: "run", Config: "2M4+2M2", Workload: "2W1", Mapping: []int{7, 7}}, // bad mapping
 		server.JobSpec{Kind: "run", Config: "2M4+2M2", Workload: "4W6", Mapping: []int{0}},    // short mapping
 		server.JobSpec{Kind: "sweep", Configs: []string{"bogus"}},
+		server.JobSpec{Kind: "search", Strategy: "aco", SearchBudget: 5, AreaCap: -5}, // negative area cap
+		server.JobSpec{Kind: "pareto", SearchBudget: 5, ArchiveCap: -3},               // negative archive cap
 	}
 	for i, spec := range bad {
 		body, _ := json.Marshal(spec)
@@ -357,7 +359,7 @@ func TestSearchJobRoundTrip(t *testing.T) {
 	// re-derived, so equality is exact).
 	sp := search.NewSpace(3, 0, []workload.Workload{workload.MustByName("2W7")})
 	sp.QueueScales = []int{75, 100}
-	direct, err := search.NewDriver(r).Search(context.Background(), sp, search.NewACO(),
+	direct, err := search.NewDriver(r).Search(context.Background(), sp, search.ACO{},
 		search.Options{Budget: 10, Seed: 7, Sim: sim.Options{Budget: 2_000, Warmup: 1_000}})
 	if err != nil {
 		t.Fatal(err)
@@ -469,7 +471,7 @@ func TestParetoJobRoundTrip(t *testing.T) {
 	}
 
 	sp := search.NewSpace(2, 0, []workload.Workload{workload.MustByName("2W7")})
-	direct, err := search.NewDriver(r).Search(context.Background(), sp, search.NewNSGA2(),
+	direct, err := search.NewDriver(r).Search(context.Background(), sp, search.NSGA2{},
 		search.Options{Budget: 8, Seed: 7, Sim: sim.Options{Budget: 2_000, Warmup: 1_000}, Objectives: objs})
 	if err != nil {
 		t.Fatal(err)

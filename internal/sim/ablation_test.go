@@ -122,6 +122,9 @@ func TestCandidateConfigs(t *testing.T) {
 	if _, err := CandidateConfigs(0, 0); err == nil {
 		t.Error("maxPipes 0 must fail")
 	}
+	if _, err := CandidateConfigs(3, -5); err == nil {
+		t.Error("negative area cap must fail")
+	}
 }
 
 func mustArea(t *testing.T, c config.Microarch) float64 {

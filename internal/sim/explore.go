@@ -27,6 +27,9 @@ func CandidateConfigs(maxPipes int, areaCap float64) ([]config.Microarch, error)
 	if maxPipes < 1 {
 		return nil, fmt.Errorf("sim: maxPipes %d must be at least 1", maxPipes)
 	}
+	if areaCap < 0 {
+		return nil, fmt.Errorf("sim: area cap %v must not be negative (0 = no cap)", areaCap)
+	}
 	models := []config.Model{config.M6, config.M4, config.M2}
 	var out []config.Microarch
 	seen := map[string]bool{}
