@@ -1,6 +1,11 @@
 package mapping
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -237,5 +242,43 @@ func TestCloneIndependent(t *testing.T) {
 	b[0] = 9
 	if a[0] != 1 {
 		t.Error("clone aliases original")
+	}
+}
+
+// enumerateGoldenConfigs × n = 1..8 is the grid TestEnumerateGolden pins.
+// "1M4+1M4q75+1M4" parses to two M4s that are not adjacent (equal widths
+// keep their written order), so same-model pipelines must be grouped by
+// model, not by position.
+var enumerateGoldenConfigs = []string{
+	"M8", "2M4", "4M2", "3M4", "4M4", "2M4+2M2", "3M4+2M2",
+	"1M6+2M4+2M2", "1M8+4M2", "6M2", "1M4+1M4q75+1M4",
+}
+
+// TestEnumerateGolden pins Enumerate's output, set and order: for every
+// grid cell the SHA-256 of fmt.Sprint(Enumerate(cfg, n)) must equal the
+// digest testdata/enumerate.sha256 records. A change to the dedup
+// signature must keep every digest; on a mismatch the test prints the new
+// line.
+func TestEnumerateGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "enumerate.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if f := strings.Fields(line); len(f) == 3 {
+			want[f[0]] = f[1] + " " + f[2]
+		}
+	}
+	for _, name := range enumerateGoldenConfigs {
+		cfg := config.MustParse(name)
+		for n := 1; n <= 8; n++ {
+			key := fmt.Sprintf("%s/%d", name, n)
+			ms := Enumerate(cfg, n)
+			got := fmt.Sprintf("%d %x", len(ms), sha256.Sum256([]byte(fmt.Sprint(ms))))
+			if got != want[key] {
+				t.Errorf("%s: enumeration changed; new line:\n%s %s", key, key, got)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -149,5 +150,24 @@ func TestDoStopsOnContextCancel(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Errorf("op called %d times after cancel, want 1", calls)
+	}
+}
+
+// TestDoWaitSequencePinned pins the jittered wait schedule of the default
+// policy (10ms base doubling to a 1s cap, 50% jitter) for an always-failing
+// op: the jitter source must draw the same values in the same order, one
+// draw per wait.
+func TestDoWaitSequencePinned(t *testing.T) {
+	want := map[int64][]time.Duration{
+		1: {8023301, 19405090, 33291201, 57508567, 113970999},
+		7: {9594460, 12315071, 24827751, 76462486, 135858843},
+	}
+	for seed, w := range want {
+		var sleeps []time.Duration
+		p := Policy{Attempts: 6, Seed: seed, Sleep: recordSleeps(&sleeps)}
+		_ = Do(context.Background(), p, func() error { return errors.New("x") })
+		if !slices.Equal(sleeps, w) {
+			t.Errorf("seed %d: waits = %d, want %d", seed, sleeps, w)
+		}
 	}
 }
