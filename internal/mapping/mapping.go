@@ -4,7 +4,10 @@
 package mapping
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -116,26 +119,31 @@ func Heuristic(cfg config.Microarch, misses []uint64) (Mapping, error) {
 	return out, nil
 }
 
+// maxThreads bounds Enumerate's thread count: the dedup signature holds
+// each pipeline's threads as the bits of one uint64.
+const maxThreads = 64
+
 // Enumerate returns every capacity-feasible mapping of n threads onto cfg,
 // deduplicated across interchangeable pipelines (two pipelines of the same
 // model are identical hardware, so swapping their thread sets yields the
-// same machine). The result is deterministic.
+// same machine). The result is deterministic. It is nil when n is 0, above
+// cfg's contexts, or above 64 threads.
 func Enumerate(cfg config.Microarch, n int) []Mapping {
-	if n == 0 || cfg.TotalContexts() < n {
+	if n == 0 || n > maxThreads || cfg.TotalContexts() < n {
 		return nil
 	}
 	var (
-		out  []Mapping
-		seen = map[string]bool{}
-		cur  = make(Mapping, n)
-		used = make([]int, len(cfg.Pipelines))
+		out   []Mapping
+		canon = newCanonical(cfg)
+		seen  = map[string]bool{}
+		cur   = make(Mapping, n)
+		used  = make([]int, len(cfg.Pipelines))
 	)
 	var rec func(thread int)
 	rec = func(thread int) {
 		if thread == n {
-			sig := canonical(cfg, cur)
-			if !seen[sig] {
-				seen[sig] = true
+			if sig := canon.key(cur); !seen[string(sig)] {
+				seen[string(sig)] = true
 				out = append(out, cur.Clone())
 			}
 			return
@@ -154,35 +162,52 @@ func Enumerate(cfg config.Microarch, n int) []Mapping {
 	return out
 }
 
-// canonical builds a signature invariant under permutation of same-model
-// pipelines: per model, the sorted list of per-pipeline thread sets.
-func canonical(cfg config.Microarch, m Mapping) string {
-	perPipe := make([][]int, len(cfg.Pipelines))
-	for t, p := range m {
-		perPipe[p] = append(perPipe[p], t)
+// canonical builds mapping signatures invariant under permutation of
+// same-model pipelines. A signature is every pipeline's thread set as a
+// bit mask, ordered by model (the index of the model's first pipeline)
+// and then by mask, 8 bytes per pipeline. Every mapping onto one
+// configuration has the same pipelines per model, so the model order
+// needs no bytes of its own. The buffers are reused across calls.
+type canonical struct {
+	models []int // per pipeline: the index of its model's first pipeline
+	sets   []pipeSet
+	buf    []byte
+}
+
+// pipeSet is one pipeline's share of a mapping.
+type pipeSet struct {
+	model   int
+	threads uint64 // bit t set when thread t runs on the pipeline
+}
+
+func newCanonical(cfg config.Microarch) *canonical {
+	c := &canonical{
+		models: make([]int, len(cfg.Pipelines)),
+		sets:   make([]pipeSet, len(cfg.Pipelines)),
+		buf:    make([]byte, 0, 8*len(cfg.Pipelines)),
 	}
-	groups := map[string][]string{}
-	for p, threads := range perPipe {
-		model := cfg.Pipelines[p].Name
-		var b strings.Builder
-		for _, t := range threads { // threads appended in ascending order
-			fmt.Fprintf(&b, "%d,", t)
+	for p := range c.models {
+		for cfg.Pipelines[c.models[p]].Name != cfg.Pipelines[p].Name {
+			c.models[p]++
 		}
-		groups[model] = append(groups[model], b.String())
 	}
-	models := make([]string, 0, len(groups))
-	for m := range groups {
-		models = append(models, m)
+	return c
+}
+
+// key returns m's signature, valid until the next call.
+func (c *canonical) key(m Mapping) []byte {
+	for p, model := range c.models {
+		c.sets[p] = pipeSet{model: model}
 	}
-	sort.Strings(models)
-	var sig strings.Builder
-	for _, model := range models {
-		sets := groups[model]
-		sort.Strings(sets)
-		sig.WriteString(model)
-		sig.WriteByte('{')
-		sig.WriteString(strings.Join(sets, "|"))
-		sig.WriteByte('}')
+	for t, p := range m {
+		c.sets[p].threads |= 1 << t
 	}
-	return sig.String()
+	slices.SortFunc(c.sets, func(a, b pipeSet) int {
+		return cmp.Or(cmp.Compare(a.model, b.model), cmp.Compare(a.threads, b.threads))
+	})
+	c.buf = c.buf[:0]
+	for _, s := range c.sets {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, s.threads)
+	}
+	return c.buf
 }

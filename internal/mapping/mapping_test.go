@@ -162,6 +162,24 @@ func TestEnumerateCapacityEdge(t *testing.T) {
 	}
 }
 
+// TestEnumerateThreadBound: the signature's 64-bit thread masks must
+// tell apart and deduplicate mappings that differ only in thread 63, and
+// Enumerate must refuse n above 64 rather than alias threads.
+func TestEnumerateThreadBound(t *testing.T) {
+	wide := config.Model{Name: "W", Contexts: 65, Width: 8}
+	narrow := config.Model{Name: "N", Contexts: 1, Width: 2}
+	cfg := config.NewMicroarch(wide, narrow, narrow)
+	// All on W; one thread on an N (which N is symmetric); one thread on
+	// each N (an unordered pair): 1 + 64 + C(64,2).
+	ms := Enumerate(cfg, 64)
+	if want := 1 + 64 + 64*63/2; len(ms) != want {
+		t.Errorf("64 threads: %d mappings, want %d", len(ms), want)
+	}
+	if ms := Enumerate(cfg, 65); ms != nil {
+		t.Errorf("65 threads: %d mappings, want nil (above the 64-thread bound)", len(ms))
+	}
+}
+
 func TestEnumerateIncludesHeuristic(t *testing.T) {
 	// The heuristic's result must appear in the enumeration (up to
 	// symmetry), for every evaluated multipipeline config and size.
@@ -176,10 +194,11 @@ func TestEnumerateIncludesHeuristic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: %v", name, n, err)
 			}
-			sig := canonical(cfg, hm)
+			canon := newCanonical(cfg)
+			sig := string(canon.key(hm))
 			found := false
 			for _, m := range Enumerate(cfg, n) {
-				if canonical(cfg, m) == sig {
+				if string(canon.key(m)) == sig {
 					found = true
 					break
 				}
@@ -212,12 +231,13 @@ func TestEnumerateProperty(t *testing.T) {
 	f := func(pick, rawN uint8) bool {
 		cfg := config.MustParse(configs[int(pick)%len(configs)])
 		n := 1 + int(rawN)%4
+		canon := newCanonical(cfg)
 		seen := map[string]bool{}
 		for _, m := range Enumerate(cfg, n) {
 			if Validate(cfg, m) != nil {
 				return false
 			}
-			sig := canonical(cfg, m)
+			sig := string(canon.key(m))
 			if seen[sig] {
 				return false
 			}
@@ -279,6 +299,17 @@ func TestEnumerateGolden(t *testing.T) {
 			if got != want[key] {
 				t.Errorf("%s: enumeration changed; new line:\n%s %s", key, key, got)
 			}
+		}
+	}
+}
+
+// BenchmarkEnumerate measures one evaluate job's oracle enumeration.
+func BenchmarkEnumerate(b *testing.B) {
+	cfg := config.MustParse("1M6+2M4+2M2")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if ms := Enumerate(cfg, 4); len(ms) != 105 {
+			b.Fatalf("%d mappings, want 105", len(ms))
 		}
 	}
 }

@@ -124,7 +124,11 @@ func (e *delayedError) RetryDelay() time.Duration { return e.delay }
 // unwrapped, as handed to Permanent).
 func Do(ctx context.Context, p Policy, op func() error) error {
 	attempts := p.attempts()
-	rng := rand.New(rand.NewSource(p.seed()))
+	// The jitter source is seeded at the first wait, not here: most calls
+	// succeed first time and never wait, so they allocate nothing. It is
+	// still fresh per call and draws once per wait, so a Policy replays
+	// the same schedule.
+	var rng *rand.Rand
 	sleep := p.Sleep
 	if sleep == nil {
 		sleep = sleepCtx
@@ -151,6 +155,9 @@ func Do(ctx context.Context, p Policy, op func() error) error {
 		}
 		wait := delay
 		if j := p.jitter(); j > 0 {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(p.seed()))
+			}
 			wait = time.Duration(float64(wait) * (1 - j + j*rng.Float64()))
 		}
 		var delayer Delayer

@@ -171,3 +171,26 @@ func TestDoWaitSequencePinned(t *testing.T) {
 		}
 	}
 }
+
+// TestDoFirstAttemptSuccessAllocatesNothing: a call that never waits must
+// not pay for the jitter source (journal appends and client requests
+// almost always succeed first time).
+func TestDoFirstAttemptSuccessAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	op := func() error { return nil }
+	if allocs := testing.AllocsPerRun(100, func() { _ = Do(ctx, Policy{}, op) }); allocs != 0 {
+		t.Errorf("first-attempt success allocates %v times, want 0", allocs)
+	}
+}
+
+// BenchmarkDo measures the common case: the op succeeds first time.
+func BenchmarkDo(b *testing.B) {
+	ctx := context.Background()
+	op := func() error { return nil }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := Do(ctx, Policy{}, op); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
