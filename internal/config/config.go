@@ -145,10 +145,16 @@ func canonicalName(ps []Model) string {
 	return strings.Join(parts, "+")
 }
 
+// MaxPipelines bounds the pipelines of a parsed configuration. Names
+// arrive in job specs, so Parse checks the bound before building any
+// pipeline; the design-space search never emits a larger machine.
+const MaxPipelines = 64
+
 // Parse builds a Microarch from the paper's notation: "M8", "3M4",
 // "2M4+2M2", "1M6+2M4+2M2". A bare model name means one pipeline of it.
 // ScaleModel suffixes round-trip too ("2M4q75f50"), so a machine reported
-// by the design-space search can be re-simulated from its name.
+// by the design-space search can be re-simulated from its name. A name
+// with more than MaxPipelines pipelines is an error.
 func Parse(name string) (Microarch, error) {
 	var models []Model
 	for _, part := range strings.Split(name, "+") {
@@ -165,6 +171,9 @@ func Parse(name string) (Microarch, error) {
 			}
 			count = n
 			rest = part[i:]
+		}
+		if count > MaxPipelines-len(models) {
+			return Microarch{}, fmt.Errorf("config: %q has more than %d pipelines", name, MaxPipelines)
 		}
 		model, err := ModelByName(rest)
 		if err != nil {

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -105,6 +106,24 @@ func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{"", "M9", "0M4", "-1M4", "xM4", "2M4++2M2", "M4+"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
+		}
+	}
+}
+
+// TestParsePipelineBound: a job spec's config string must not be able to
+// make Parse build millions of pipelines; the bound is checked before any
+// pipeline is built.
+func TestParsePipelineBound(t *testing.T) {
+	m, err := Parse("64M2")
+	if err != nil || len(m.Pipelines) != MaxPipelines {
+		t.Fatalf("Parse(64M2) = %d pipelines, %v; want %d", len(m.Pipelines), err, MaxPipelines)
+	}
+	if _, err := Parse("32M4+32M2"); err != nil {
+		t.Errorf("Parse(32M4+32M2): %v", err)
+	}
+	for _, bad := range []string{"65M2", "32M4+33M2", "M8+64M2", "3000000M2", "3000000000M2", "99999999999999999999M2"} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) should fail: above %d pipelines", bad, MaxPipelines)
 		}
 	}
 }
@@ -353,4 +372,34 @@ func TestParseScaledRoundTrip(t *testing.T) {
 			t.Errorf("Parse(%q) should fail", bad)
 		}
 	}
+}
+
+// FuzzParse: any string, such as a job spec's config, must parse without
+// a panic into 1..MaxPipelines pipelines or fail, and a parsed machine's
+// canonical name must parse back to the same machine.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"M8", "3M4", "4M4", "2M4+2M2", "3M4+2M2", "1M6+2M4+2M2", "2M2+1M6+2M4",
+		"", "M9", "0M4", "-1M4", "xM4", "2M4++2M2", "M4+", "bogus",
+		"2M4q75f50+1M2q125", "M8q150", "M4q100", "M4q", "M4qx", "M4q75z", "M8f50", "M5q75",
+		"64M2", "65M2", "32M4+33M2", "3000000M2", "3000000000M2",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		m, err := Parse(name)
+		if err != nil {
+			return
+		}
+		if n := len(m.Pipelines); n < 1 || n > MaxPipelines {
+			t.Fatalf("Parse(%q) built %d pipelines, want 1..%d", name, n, MaxPipelines)
+		}
+		back, err := Parse(m.Name)
+		if err != nil {
+			t.Fatalf("Parse(%q) = %q, which does not parse: %v", name, m.Name, err)
+		}
+		if !reflect.DeepEqual(back, m) {
+			t.Fatalf("Parse(%q) = %+v, but its name %q parses to %+v", name, m, m.Name, back)
+		}
+	})
 }

@@ -108,7 +108,12 @@ func TestSpaceValidate(t *testing.T) {
 	// Absurd spaces are rejected up front rather than wedging the census
 	// in an hours-long enumeration (Size saturates instead of wrapping).
 	bad = ok
-	bad.MaxPipes = 2_000
+	bad.MaxPipes = config.MaxPipelines + 1
+	if err := bad.Validate(); err == nil {
+		t.Error("MaxPipes above config.MaxPipelines must fail")
+	}
+	bad = ok
+	bad.MaxPipes = config.MaxPipelines
 	if bad.Size() <= 0 {
 		t.Errorf("Size overflowed to %d", bad.Size())
 	}

@@ -105,6 +105,9 @@ func (s *Space) Validate() error {
 	if s.MaxPipes < 1 {
 		return fmt.Errorf("search: MaxPipes %d must be at least 1", s.MaxPipes)
 	}
+	if s.MaxPipes > config.MaxPipelines {
+		return fmt.Errorf("search: MaxPipes %d is above config.MaxPipelines (%d)", s.MaxPipes, config.MaxPipelines)
+	}
 	if s.AreaCap < 0 {
 		return fmt.Errorf("search: area cap %v must not be negative (0 = no cap)", s.AreaCap)
 	}

@@ -239,6 +239,8 @@ func TestValidationAndErrors(t *testing.T) {
 		server.JobSpec{Kind: "run", Config: "2M4+2M2", Workload: "2W1", Mapping: []int{7, 7}}, // bad mapping
 		server.JobSpec{Kind: "run", Config: "2M4+2M2", Workload: "4W6", Mapping: []int{0}},    // short mapping
 		server.JobSpec{Kind: "sweep", Configs: []string{"bogus"}},
+		server.JobSpec{Kind: "run", Config: "3000000000M2", Workload: "2W1"},          // above config.MaxPipelines
+		server.JobSpec{Kind: "sweep", Configs: []string{"M8", "3000000000M2"}},        // above config.MaxPipelines
 		server.JobSpec{Kind: "search", Strategy: "aco", SearchBudget: 5, AreaCap: -5}, // negative area cap
 		server.JobSpec{Kind: "pareto", SearchBudget: 5, ArchiveCap: -3},               // negative archive cap
 	}
