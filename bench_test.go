@@ -7,11 +7,13 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"hdsmt/internal/area"
 	"hdsmt/internal/bench"
 	"hdsmt/internal/config"
+	"hdsmt/internal/engine"
 	"hdsmt/internal/mapping"
 	"hdsmt/internal/metrics"
 	"hdsmt/internal/perf"
@@ -23,6 +25,18 @@ import (
 // preserving comparative shape; cmd/experiments runs bigger budgets.
 func benchOptions() sim.Options {
 	return sim.Options{Budget: 4_000, Warmup: 2_500, OracleBudget: 2_000, MaxOracle: 24}
+}
+
+// coldRunner builds a fresh Runner. Sweep benchmarks take one per
+// iteration and close it, so no iteration is served from an earlier
+// iteration's memo store.
+func coldRunner(b *testing.B) *sim.Runner {
+	b.Helper()
+	r, err := sim.NewRunner(engine.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
 }
 
 // BenchmarkTable1Config regenerates the Table 1 parameter set (a pure
@@ -100,7 +114,9 @@ func figureBench(b *testing.B, t workload.Type) {
 	var fig sim.FigResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		fig, err = sim.RunFigure(t, benchOptions())
+		r := coldRunner(b)
+		fig, err = r.RunFigure(context.Background(), t, benchOptions())
+		r.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,14 +148,16 @@ func BenchmarkFig4cMIX(b *testing.B) { figureBench(b, workload.MIX) }
 func BenchmarkHeadline(b *testing.B) {
 	var s sim.Summary
 	for i := 0; i < b.N; i++ {
+		r := coldRunner(b)
 		figs := map[workload.Type]sim.FigResult{}
 		for _, t := range workload.Types() {
-			fig, err := sim.RunFigure(t, benchOptions())
+			fig, err := r.RunFigure(context.Background(), t, benchOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
 			figs[t] = fig
 		}
+		r.Close()
 		var err error
 		s, err = sim.Summarize(figs)
 		if err != nil {
@@ -160,7 +178,9 @@ func BenchmarkMappingOracle(b *testing.B) {
 	cfg := config.MustParse("2M4+2M2")
 	w := workload.MustByName("4W6")
 	for i := 0; i < b.N; i++ {
-		m, err := sim.Evaluate(cfg, w, benchOptions())
+		r := coldRunner(b)
+		m, err := r.Evaluate(context.Background(), cfg, w, benchOptions())
+		r.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,7 +259,7 @@ func BenchmarkEvaluateHEUR(b *testing.B) {
 			m mapping.Mapping
 		}{w, m})
 	}
-	opt := sim.Options{Budget: perf.BasketBudget, Warmup: perf.BasketWarmup, Parallel: 1}
+	opt := sim.Options{Budget: perf.BasketBudget, Warmup: perf.BasketWarmup}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var committed uint64
@@ -302,7 +322,9 @@ func BenchmarkAblationRFLatency(b *testing.B) {
 	var a sim.AblationResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		a, err = sim.AblateRFLatency(workload.MustByName("2W1"), benchOptions())
+		r := coldRunner(b)
+		a, err = r.AblateRFLatency(context.Background(), workload.MustByName("2W1"), benchOptions())
+		r.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -316,7 +338,9 @@ func BenchmarkAblationFetchBuffer(b *testing.B) {
 	var a sim.AblationResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		a, err = sim.AblateFetchBuffer(workload.MustByName("2W1"), benchOptions())
+		r := coldRunner(b)
+		a, err = r.AblateFetchBuffer(context.Background(), workload.MustByName("2W1"), benchOptions())
+		r.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -331,7 +355,9 @@ func BenchmarkAblationFetchPolicy(b *testing.B) {
 	var a sim.AblationResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		a, err = sim.AblateFetchPolicy(workload.MustByName("2W7"), benchOptions())
+		r := coldRunner(b)
+		a, err = r.AblateFetchPolicy(context.Background(), workload.MustByName("2W7"), benchOptions())
+		r.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -421,7 +447,9 @@ func BenchmarkDesignSpaceExplore(b *testing.B) {
 	wls := []workload.Workload{workload.MustByName("2W7")}
 	var rs []sim.ExploreResult
 	for i := 0; i < b.N; i++ {
-		rs, err = sim.Explore(wls, cands, benchOptions())
+		r := coldRunner(b)
+		rs, err = r.Explore(context.Background(), wls, cands, benchOptions(), nil)
+		r.Close()
 		if err != nil {
 			b.Fatal(err)
 		}

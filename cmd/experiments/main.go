@@ -58,6 +58,7 @@ var figures = []struct {
 // options are the parsed command line.
 type options struct {
 	sim                                   sim.Options
+	workers                               int
 	list, areaOnly, detail, ablate, quiet bool
 	figure, csvDir, tracePath             string
 	params                                params
@@ -76,7 +77,7 @@ func run(args []string) int {
 	fs.Uint64Var(&o.sim.Warmup, "warmup", 10_000, "warm-up instructions per thread")
 	fs.Uint64Var(&o.sim.OracleBudget, "oracle", 0, "oracle search budget (0 = same as -budget)")
 	fs.IntVar(&o.sim.MaxOracle, "maxoracle", 96, "cap on oracle mappings searched (0 = exhaustive)")
-	fs.IntVar(&o.sim.Parallel, "parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
+	fs.IntVar(&o.workers, "parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	fs.BoolVar(&o.list, "list", false, "list workloads (Tables 2-3) and exit")
 	fs.BoolVar(&o.areaOnly, "area", false, "print area figures (Fig. 2b, Fig. 3) and exit")
 	fs.StringVar(&o.figure, "figure", "", "run a single sub-figure: 4a|4b|4c (5a-c derive from the same runs)")
@@ -178,7 +179,7 @@ func (o *options) paper() error {
 
 	// One shared runner for every sweep below, so cells common to several
 	// figures (and the ablations) are simulated once.
-	runner, err := sim.NewRunner(obsEngineOptions(o.sim.Parallel))
+	runner, err := sim.NewRunner(obsEngineOptions(o.workers))
 	if err != nil {
 		return err
 	}

@@ -103,7 +103,7 @@ func genPerf(p params) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := sim.Options{Budget: perf.BasketBudget, Warmup: perf.BasketWarmup, Parallel: 1}
+	opt := sim.Options{Budget: perf.BasketBudget, Warmup: perf.BasketWarmup}
 	modes := []struct {
 		name string
 		run  runFunc

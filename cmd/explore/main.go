@@ -105,7 +105,7 @@ func main() {
 		tracer = telemetry.NewTracer()
 	}
 
-	// The legacy table (CandidateConfigs + sim.Explore, M8 baseline
+	// The legacy table (CandidateConfigs + Runner.Explore, M8 baseline
 	// included) serves plain exhaustive runs — -out then writes the
 	// ranking JSON; any enriched axis or objective list routes through
 	// internal/search.
@@ -307,7 +307,7 @@ func writeJSON(path string, v any) {
 }
 
 // exhaustive is the legacy cross-check baseline: CandidateConfigs +
-// sim.Explore (M8 baseline included) with the telemetry-fed progress
+// sim.Runner.Explore (M8 baseline included) with the telemetry-fed progress
 // line. out, when non-empty, receives the full ranking as JSON.
 func exhaustive(wls []workload.Workload, maxPipes int, areaCap float64, opt sim.Options, out string,
 	reg *telemetry.Registry, tracer *telemetry.Tracer, tracePath string, quiet bool) {

@@ -185,13 +185,45 @@ func TestNewRequestIDUnique(t *testing.T) {
 	}
 }
 
+// badRequestIDs are client-supplied IDs SanitizeRequestID must reject.
+var badRequestIDs = []string{"", "has space", "quote\"", "a=b", "ctrl\x01", strings.Repeat("x", 65)}
+
+// saneRequestID is a client-supplied ID SanitizeRequestID must keep.
+const saneRequestID = "client-42/retry.1"
+
 func TestSanitizeRequestID(t *testing.T) {
-	for _, bad := range []string{"", "has space", "quote\"", "a=b", "ctrl\x01", strings.Repeat("x", 65)} {
+	for _, bad := range badRequestIDs {
 		if got := SanitizeRequestID(bad); got != "" {
 			t.Errorf("SanitizeRequestID(%q) = %q, want rejection", bad, got)
 		}
 	}
-	if got := SanitizeRequestID("client-42/retry.1"); got != "client-42/retry.1" {
+	if got := SanitizeRequestID(saneRequestID); got != saneRequestID {
 		t.Errorf("sane ID rejected: %q", got)
 	}
+}
+
+// FuzzSanitizeRequestID: any X-Request-ID value is either dropped or kept
+// verbatim, a kept one is at most 64 bytes of printable ASCII without
+// spaces, quotes or '=', and sanitizing is idempotent.
+func FuzzSanitizeRequestID(f *testing.F) {
+	for _, seed := range append([]string{saneRequestID}, badRequestIDs...) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, id string) {
+		out := SanitizeRequestID(id)
+		if out != "" && out != id {
+			t.Fatalf("SanitizeRequestID(%q) = %q, want the input or \"\"", id, out)
+		}
+		if len(out) > 64 {
+			t.Fatalf("SanitizeRequestID(%q) kept %d bytes, want at most 64", id, len(out))
+		}
+		for i := 0; i < len(out); i++ {
+			if c := out[i]; c < '!' || c > '~' || c == '"' || c == '=' {
+				t.Fatalf("SanitizeRequestID(%q) kept byte %q", id, c)
+			}
+		}
+		if again := SanitizeRequestID(out); again != out {
+			t.Fatalf("SanitizeRequestID not idempotent: %q -> %q -> %q", id, out, again)
+		}
+	})
 }

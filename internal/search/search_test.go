@@ -202,7 +202,7 @@ func TestDecodeCanonicalization(t *testing.T) {
 
 // TestExhaustiveMatchesSimExplore cross-checks the new subsystem against
 // the existing ranking: on a pure multiset space, the exhaustive strategy's
-// optimum is the machine sim.Explore ranks first, with the same score.
+// optimum is the machine Runner.Explore ranks first, with the same score.
 func TestExhaustiveMatchesSimExplore(t *testing.T) {
 	wls := testWorkloads(t)
 	sp := NewSpace(3, 0, wls)
@@ -226,7 +226,7 @@ func TestExhaustiveMatchesSimExplore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ranking[0].Config != res.Best.Config {
-		t.Errorf("exhaustive best %s, sim.Explore ranks %s first", res.Best.Config, ranking[0].Config)
+		t.Errorf("exhaustive best %s, Runner.Explore ranks %s first", res.Best.Config, ranking[0].Config)
 	}
 	if diff := ranking[0].PerArea - res.Best.Metric("per_area"); diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("objective mismatch: %v vs %v", res.Best.Metric("per_area"), ranking[0].PerArea)

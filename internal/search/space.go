@@ -65,7 +65,7 @@ type Space struct {
 // sim.CandidateConfigs it does not append the monolithic M8 baseline: M8
 // is not a multipipeline design point, and its special cases (thread
 // stretching, 1-cycle register file) sit outside the axes this space
-// scales — rank it against a search winner with sim.Explore. Callers
+// scales — rank it against a search winner with sim.Runner.Explore. Callers
 // widen axes by assigning the slice fields.
 func NewSpace(maxPipes int, areaCap float64, wls []workload.Workload) Space {
 	return Space{
@@ -349,7 +349,7 @@ func (s *Space) Enumerate(fn func(Point) bool) {
 
 // Candidates enumerates the space's distinct feasible machines, sorted by
 // ascending area then name — the exhaustive candidate list, in the shape
-// sim.Explore consumes (via their Cfg fields).
+// sim.Runner.Explore consumes (via their Cfg fields).
 func (s *Space) Candidates() []Candidate {
 	seen := map[string]bool{}
 	var out []Candidate

@@ -58,13 +58,6 @@ func (r *Runner) runSweep(ctx context.Context, out *AblationResult, labels []str
 // heterogeneous configuration. The paper charges hdSMT 2 cycles (vs the
 // baseline's 1) for multipipeline register-file sharing; the sweep shows
 // what that assumption costs.
-func AblateRFLatency(w workload.Workload, opt Options) (AblationResult, error) {
-	return ephemeral(opt, func(r *Runner) (AblationResult, error) {
-		return r.AblateRFLatency(context.Background(), w, opt)
-	})
-}
-
-// AblateRFLatency is AblateRFLatency on this Runner's engine.
 func (r *Runner) AblateRFLatency(ctx context.Context, w workload.Workload, opt Options) (AblationResult, error) {
 	out := AblationResult{Name: "register-file access latency (2M4+2M2)", Workload: w.Name}
 	var labels []string
@@ -86,13 +79,6 @@ func (r *Runner) AblateRFLatency(ctx context.Context, w workload.Workload, opt O
 // AblateFetchBuffer sweeps the per-pipeline decoupling buffer size on
 // 2M4+2M2 (the paper fixes 32 entries for M4 and 16 for M2; the sweep
 // scales both proportionally).
-func AblateFetchBuffer(w workload.Workload, opt Options) (AblationResult, error) {
-	return ephemeral(opt, func(r *Runner) (AblationResult, error) {
-		return r.AblateFetchBuffer(context.Background(), w, opt)
-	})
-}
-
-// AblateFetchBuffer is AblateFetchBuffer on this Runner's engine.
 func (r *Runner) AblateFetchBuffer(ctx context.Context, w workload.Workload, opt Options) (AblationResult, error) {
 	out := AblationResult{Name: "decoupling buffer size (2M4+2M2)", Workload: w.Name}
 	var labels []string
@@ -117,13 +103,6 @@ func (r *Runner) AblateFetchBuffer(ctx context.Context, w workload.Workload, opt
 // AblateFetchPolicy compares the three fetch policies on the monolithic
 // baseline for one workload (the paper adopts FLUSH for the baseline and
 // L1MCOUNT for multipipeline configurations).
-func AblateFetchPolicy(w workload.Workload, opt Options) (AblationResult, error) {
-	return ephemeral(opt, func(r *Runner) (AblationResult, error) {
-		return r.AblateFetchPolicy(context.Background(), w, opt)
-	})
-}
-
-// AblateFetchPolicy is AblateFetchPolicy on this Runner's engine.
 func (r *Runner) AblateFetchPolicy(ctx context.Context, w workload.Workload, opt Options) (AblationResult, error) {
 	out := AblationResult{Name: "fetch policy (M8)", Workload: w.Name}
 	cfg := config.MustParse("M8")
@@ -143,15 +122,8 @@ func (r *Runner) AblateFetchPolicy(ctx context.Context, w workload.Workload, opt
 	return out, err
 }
 
-// RunAblations executes all three ablations on a representative MIX
-// workload (4W6 unless overridden).
-func RunAblations(w workload.Workload, opt Options) ([]AblationResult, error) {
-	return ephemeral(opt, func(r *Runner) ([]AblationResult, error) {
-		return r.RunAblations(context.Background(), w, opt)
-	})
-}
-
-// RunAblations is RunAblations on this Runner's engine.
+// RunAblations executes all three ablations on one workload (cmd/experiments
+// uses the representative MIX workload 4W6).
 func (r *Runner) RunAblations(ctx context.Context, w workload.Workload, opt Options) ([]AblationResult, error) {
 	var out []AblationResult
 	for _, f := range []func(context.Context, workload.Workload, Options) (AblationResult, error){

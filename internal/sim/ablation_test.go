@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 func TestAblateRFLatency(t *testing.T) {
-	a, err := AblateRFLatency(workload.MustByName("2W1"), tinyOptions())
+	a, err := testRunner(t).AblateRFLatency(context.Background(), workload.MustByName("2W1"), tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestAblateRFLatency(t *testing.T) {
 }
 
 func TestAblateFetchBuffer(t *testing.T) {
-	a, err := AblateFetchBuffer(workload.MustByName("2W1"), tinyOptions())
+	a, err := testRunner(t).AblateFetchBuffer(context.Background(), workload.MustByName("2W1"), tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestAblateFetchBuffer(t *testing.T) {
 }
 
 func TestAblateFetchPolicy(t *testing.T) {
-	a, err := AblateFetchPolicy(workload.MustByName("2W7"), tinyOptions())
+	a, err := testRunner(t).AblateFetchPolicy(context.Background(), workload.MustByName("2W7"), tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestAblateFetchPolicy(t *testing.T) {
 }
 
 func TestRunAblations(t *testing.T) {
-	as, err := RunAblations(workload.MustByName("2W7"), tinyOptions())
+	as, err := testRunner(t).RunAblations(context.Background(), workload.MustByName("2W7"), tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestExploreRanksByPerArea(t *testing.T) {
 		t.Fatal(err)
 	}
 	wls := []workload.Workload{workload.MustByName("2W7")}
-	rs, err := Explore(wls, cands, tinyOptions())
+	rs, err := testRunner(t).Explore(context.Background(), wls, cands, tinyOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestExploreRanksByPerArea(t *testing.T) {
 }
 
 func TestExploreErrors(t *testing.T) {
-	if _, err := Explore(nil, nil, tinyOptions()); err == nil {
+	if _, err := testRunner(t).Explore(context.Background(), nil, nil, tinyOptions(), nil); err == nil {
 		t.Error("empty workload set must fail")
 	}
 }

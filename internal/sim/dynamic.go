@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+
 	"hdsmt/internal/config"
 	"hdsmt/internal/core"
 	"hdsmt/internal/mapping"
@@ -20,35 +22,22 @@ type DynamicResult struct {
 // profile-guided mapping, and once under the paper's §7 future-work
 // proposal — the same heuristic re-evaluated every interval cycles on
 // *observed* per-thread miss counts, migrating threads when the ranking
-// changes.
+// changes. Both runs are exact; Migrations counts warm-up migrations too.
 func RunDynamic(cfg config.Microarch, w workload.Workload, interval uint64, opt Options) (DynamicResult, error) {
 	out := DynamicResult{Interval: interval}
-	specs, err := Specs(w)
-	if err != nil {
-		return out, err
-	}
 	initial, err := HeuristicMapping(cfg, w)
 	if err != nil {
 		return out, err
 	}
-
-	var coreOpts []core.Option
-	if opt.Warmup > 0 {
-		coreOpts = append(coreOpts, core.WithWarmup(opt.Warmup))
-	}
-
-	static, err := core.New(cfg, specs, initial, coreOpts...)
-	if err != nil {
-		return out, err
-	}
-	rs, err := static.Run(opt.Budget)
+	req := newRequest(cfg, w, initial, opt.Budget, opt.Warmup)
+	rs, err := simulate(context.Background(), req)
 	if err != nil {
 		return out, err
 	}
 	out.StaticIPC = rs.IPC
 
-	dynOpts := append(coreOpts, core.WithDynamicMapping(interval, heuristicRemapper(cfg)))
-	dyn, err := core.New(cfg, specs, initial, dynOpts...)
+	req.Remap = interval
+	dyn, err := newProcessor(req)
 	if err != nil {
 		return out, err
 	}

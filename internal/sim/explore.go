@@ -97,14 +97,7 @@ type ExploreResult struct {
 
 // Explore evaluates every candidate on every workload under the §2.1
 // heuristic mapping and ranks by performance per area. Candidates lacking
-// contexts for any workload are reported as skipped.
-func Explore(wls []workload.Workload, cands []config.Microarch, opt Options) ([]ExploreResult, error) {
-	return ephemeral(opt, func(r *Runner) ([]ExploreResult, error) {
-		return r.Explore(context.Background(), wls, cands, opt, nil)
-	})
-}
-
-// Explore is Explore on this Runner's engine: every feasible
+// contexts for any workload are reported as skipped. Every feasible
 // (candidate, workload) run is submitted up front, so the worker pool
 // stays saturated across candidate boundaries; candidates then settle in
 // input order. progress, when non-nil, is called after each candidate

@@ -90,7 +90,7 @@ func TestExploreCancellation(t *testing.T) {
 // combination that removes every candidate says so.
 func TestExploreValidation(t *testing.T) {
 	wls := []workload.Workload{workload.MustByName("2W7")}
-	if _, err := Explore(wls, nil, tinyOptions()); err == nil {
+	if _, err := testRunner(t).Explore(context.Background(), wls, nil, tinyOptions(), nil); err == nil {
 		t.Error("empty candidate list must fail")
 	} else if !strings.Contains(err.Error(), "no candidate configurations") {
 		t.Errorf("unhelpful empty-candidates error: %v", err)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -87,30 +88,22 @@ func relativeSpeedups(shared, alone []float64) ([]float64, error) {
 	return rels, nil
 }
 
-// aloneOptions scales the alone-mode warm-up: in the shared run the warm-up
-// phase lasts until the *slowest* thread retires its quota, so fast threads
-// enter measurement with far warmer caches and predictors than a plain
-// single-thread warm-up would give them. Scaling the alone warm-up by the
-// thread count keeps the two measurements comparable at scaled budgets (at
-// the paper's 300M scale the difference vanishes).
-func aloneOptions(opt Options, threads int) Options {
-	out := opt
-	out.Warmup = opt.Warmup * uint64(threads)
-	return out
-}
-
 // AloneRequest builds the engine job measuring w's i-th benchmark alone on
 // cfg: the single thread on the machine's widest pipeline (the best case a
-// migration policy could give it), with the warm-up scaled as aloneOptions
-// describes. The request carries no fetch-policy override and no remap
-// interval — alone mode has no arbitration to police and nothing to
-// migrate — so every policy/remap variant of a machine shares one cached
+// migration policy could give it), exact whatever opt.Sample says. The
+// warm-up is scaled by w's thread count: in the shared run the warm-up
+// phase lasts until the *slowest* thread retires its quota, so fast threads
+// enter measurement with far warmer caches and predictors than a plain
+// single-thread warm-up would give them, and the scaling keeps the two
+// measurements comparable at scaled budgets (at the paper's 300M scale the
+// difference vanishes). The request carries no fetch-policy override and
+// no remap interval — alone mode has no arbitration to police and nothing
+// to migrate — so every policy/remap variant of a machine shares one cached
 // alone baseline per benchmark.
 func AloneRequest(cfg config.Microarch, w workload.Workload, i int, opt Options) engine.Request {
 	name := w.Benchmarks[i]
 	aloneW := workload.Workload{Name: w.Name + "/" + name, Benchmarks: []string{name}, Type: w.Type}
-	aloneOpt := aloneOptions(opt, w.Threads())
-	return newRequest(cfg, aloneW, mapping.Mapping{0}, aloneOpt.Budget, aloneOpt.Warmup)
+	return newRequest(cfg, aloneW, mapping.Mapping{0}, opt.Budget, opt.Warmup*uint64(w.Threads()))
 }
 
 // FairnessFromResults assembles the fairness metrics from an
@@ -136,19 +129,17 @@ func fairnessFrom(cfg config.Microarch, w workload.Workload, shared, alone []flo
 	return out, nil
 }
 
-// Fairness measures workload w on cfg under mapping m against each thread's
-// alone-mode run. Alone mode places the single thread on the machine's
-// widest pipeline (the best case a migration policy could give it).
+// Fairness measures workload w on cfg under mapping m (sampled when
+// opt.Sample is enabled, like Run) against each thread's exact alone-mode
+// run, AloneRequest.
 func Fairness(cfg config.Microarch, w workload.Workload, m mapping.Mapping, opt Options) (FairnessResult, error) {
 	shared, err := Run(cfg, w, m, opt)
 	if err != nil {
 		return FairnessResult{Config: cfg.Name, Workload: w.Name}, err
 	}
-	aloneOpt := aloneOptions(opt, w.Threads())
 	alone := make([]float64, len(w.Benchmarks))
 	for i, name := range w.Benchmarks {
-		aloneW := workload.Workload{Name: w.Name + "/" + name, Benchmarks: []string{name}, Type: w.Type}
-		r, err := Run(cfg, aloneW, mapping.Mapping{0}, aloneOpt)
+		r, err := simulate(context.Background(), AloneRequest(cfg, w, i, opt))
 		if err != nil {
 			return FairnessResult{Config: cfg.Name, Workload: w.Name}, fmt.Errorf("sim: alone run of %s: %w", name, err)
 		}

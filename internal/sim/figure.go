@@ -56,14 +56,7 @@ func groupsFor(t workload.Type) []string {
 
 // RunFigure computes the Fig. 4 sub-figure (IPC) for one workload type
 // across all six evaluated microarchitectures. Fig. 5's per-area variant
-// derives from the same measurements via PerArea.
-func RunFigure(t workload.Type, opt Options) (FigResult, error) {
-	return ephemeral(opt, func(r *Runner) (FigResult, error) {
-		return r.RunFigure(context.Background(), t, opt)
-	})
-}
-
-// RunFigure is RunFigure on this Runner's engine: every cell's heuristic
+// derives from the same measurements via PerArea. Every cell's heuristic
 // run and oracle search is planned up front and submitted as one batch, so
 // the engine's worker pool is the only fan-out and its cache deduplicates
 // cells shared with earlier sweeps.

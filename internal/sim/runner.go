@@ -19,10 +19,10 @@ import (
 // sweeps (or across re-runs, with a cache directory or journal) is served
 // from the memoization store instead of being executed again.
 //
-// The package-level Evaluate/RunFigure/Explore/RunAblations helpers remain
-// for one-shot use; they run on a private short-lived Runner. Long-lived
-// callers (cmd/hdsmtd, repeated sweeps) should construct one Runner and
-// share it.
+// A Runner is the only way to run a sweep: one-shot callers build one and
+// Close it; long-lived callers (cmd/hdsmtd, repeated sweeps) share one.
+// Single simulations outside the engine (Run, RunReference, RunDynamic,
+// Fairness) assemble their processor the same way, through newProcessor.
 type Runner struct {
 	eng *engine.Engine
 }
@@ -56,16 +56,15 @@ func (r *Runner) Engine() *engine.Engine { return r.eng }
 // stepping path (core.WithReferenceStepping) under entire sweeps.
 var testCoreOptions []core.Option
 
-// simulate is the engine's runner function: it executes one request with
-// the core simulator. It is deterministic — a requirement of the engine's
-// memoization — because the core is (fixed seeds, no wall-clock input).
-func simulate(ctx context.Context, req engine.Request) (core.Results, error) {
-	if err := ctx.Err(); err != nil {
-		return core.Results{}, err
-	}
+// newProcessor assembles the processor one request describes: its
+// workload's threads on its configuration under its mapping, with the
+// request's warm-up, fetch-policy override and dynamic-remap interval,
+// then any extra options. It is the package's only core.New call, so every
+// entry point builds a simulation the same way.
+func newProcessor(req engine.Request, extra ...core.Option) (*core.Processor, error) {
 	specs, err := Specs(req.Workload)
 	if err != nil {
-		return core.Results{}, err
+		return nil, err
 	}
 	opts := append([]core.Option{}, testCoreOptions...)
 	if req.Warmup > 0 {
@@ -74,14 +73,25 @@ func simulate(ctx context.Context, req engine.Request) (core.Results, error) {
 	if req.Policy != "" {
 		pol, err := policyByName(req.Policy)
 		if err != nil {
-			return core.Results{}, err
+			return nil, err
 		}
 		opts = append(opts, core.WithPolicy(pol))
 	}
 	if req.Remap > 0 {
 		opts = append(opts, core.WithDynamicMapping(req.Remap, heuristicRemapper(req.Cfg)))
 	}
-	p, err := core.New(req.Cfg, specs, req.Mapping, opts...)
+	return core.New(req.Cfg, specs, req.Mapping, append(opts, extra...)...)
+}
+
+// simulate is the engine's runner function: it executes one request with
+// the core simulator, sampled when the request carries sampling
+// parameters. It is deterministic — a requirement of the engine's
+// memoization — because the core is (fixed seeds, no wall-clock input).
+func simulate(ctx context.Context, req engine.Request) (core.Results, error) {
+	if err := ctx.Err(); err != nil {
+		return core.Results{}, err
+	}
+	p, err := newProcessor(req)
 	if err != nil {
 		return core.Results{}, err
 	}
@@ -161,16 +171,22 @@ func NewRequest(cfg config.Microarch, w workload.Workload, opt Options, policy s
 }
 
 // Run simulates one (configuration, workload, mapping) cell through the
-// engine, so repeated runs hit the cache.
+// engine, so repeated runs hit the cache. Like the package-level Run it is
+// sampled when opt.Sample is enabled.
 func (r *Runner) Run(ctx context.Context, cfg config.Microarch, w workload.Workload, m mapping.Mapping, opt Options) (core.Results, error) {
-	results, err := r.eng.RunBatch(ctx, []engine.Request{newRequest(cfg, w, m, opt.Budget, opt.Warmup)})
+	req := withSample(newRequest(cfg, w, m, opt.Budget, opt.Warmup), opt)
+	results, err := r.eng.RunBatch(ctx, []engine.Request{req})
 	if err != nil {
 		return core.Results{}, err
 	}
 	return results[0], nil
 }
 
-// Evaluate is Evaluate on this Runner's engine.
+// Evaluate produces the Measurement for one configuration and workload:
+// monolithic configurations need no mapping (a single measurement serves
+// all three series, as in the paper); multipipeline configurations run the
+// heuristic mapping at full budget and exhaustively search all distinct
+// mappings for BEST/WORST. All simulations fan out through the engine.
 func (r *Runner) Evaluate(ctx context.Context, cfg config.Microarch, w workload.Workload, opt Options) (Measurement, error) {
 	ms, err := r.EvaluateAll(ctx, []SweepCell{{Cfg: cfg, W: w}}, opt, nil)
 	if err != nil {
@@ -227,16 +243,4 @@ func (r *Runner) EvaluateAll(ctx context.Context, cells []SweepCell, opt Options
 		}
 	}
 	return out, nil
-}
-
-// ephemeral runs f on a short-lived Runner sized by opt — the engine
-// behind the package-level convenience functions.
-func ephemeral[T any](opt Options, f func(*Runner) (T, error)) (T, error) {
-	r, err := NewRunner(engine.Options{Workers: opt.workers()})
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	defer r.Close()
-	return f(r)
 }

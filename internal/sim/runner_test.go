@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hdsmt/internal/config"
+	"hdsmt/internal/core"
 	"hdsmt/internal/engine"
 	"hdsmt/internal/workload"
 )
@@ -267,5 +268,32 @@ func TestRemapRequestRuns(t *testing.T) {
 	}
 	if got := r.Stats().Executed; got != 2 {
 		t.Errorf("executed %d simulations, want 2 (remap keys separately)", got)
+	}
+}
+
+// TestRunnerRunHonorsSample pins that Runner.Run samples exactly as the
+// package-level Run does when opt.Sample is enabled, instead of running
+// the whole sampled budget in detail.
+func TestRunnerRunHonorsSample(t *testing.T) {
+	cfg := config.MustParse("2M4+2M2")
+	w := workload.MustByName("2W7")
+	m, err := HeuristicMapping(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Budget: 200_000, Warmup: 2_000, Sample: core.DefaultSampleParams()}
+	got, err := testRunner(t).Run(context.Background(), cfg, w, m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Sampled == nil {
+		t.Fatal("Runner.Run ignored opt.Sample and ran exact")
+	}
+	want, err := Run(cfg, w, m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mustJSON(t, got) != mustJSON(t, want) {
+		t.Error("Runner.Run and Run disagree on the same sampled cell")
 	}
 }

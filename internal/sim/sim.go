@@ -7,7 +7,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"hdsmt/internal/bench"
@@ -39,18 +38,15 @@ type Options struct {
 	// BEST becomes a lower bound and WORST an upper bound of the true
 	// extremes. 0 means unlimited (the paper's exhaustive oracle).
 	MaxOracle int
-	// Parallel bounds concurrent simulations for the package-level
-	// one-shot helpers (Evaluate, RunFigure, Explore, RunAblations),
-	// which size their private engine from it; 0 means GOMAXPROCS.
-	// Runner methods ignore it — a shared Runner's concurrency is fixed
-	// by engine.Options.Workers at construction.
-	Parallel int
 	// Sample, when enabled (Period > 0), runs simulations in sampled mode:
 	// short detailed intervals at the given period with functional
 	// fast-forward between them (core.RunSampled). Results carry a
 	// SampleSummary with a 95% confidence interval, and request keys
 	// include the sampling parameters, so sampled and exact runs of the
-	// same design point memoize separately.
+	// same design point memoize separately. Run and Runner.Run honor it,
+	// as do the design-point requests of NewRequest; the sweeps (Evaluate,
+	// RunFigure, Explore, the ablations), RunReference, RunDynamic and the
+	// alone runs of Fairness and AloneRequest always run exact.
 	Sample core.SampleParams
 }
 
@@ -64,13 +60,6 @@ func (o Options) oracleBudget() uint64 {
 		return o.OracleBudget
 	}
 	return o.Budget
-}
-
-func (o Options) workers() int {
-	if o.Parallel > 0 {
-		return o.Parallel
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Address-space layout: each thread gets a distinct code and data region.
@@ -133,48 +122,22 @@ func Specs(w workload.Workload) ([]core.ThreadSpec, error) {
 
 // Run simulates workload w on cfg under the given thread mapping. When
 // opt.Sample is enabled the run is sampled (core.RunSampled) and the
-// results carry a SampleSummary.
+// results carry a SampleSummary. It runs on the calling goroutine,
+// outside any engine.
 func Run(cfg config.Microarch, w workload.Workload, m mapping.Mapping, opt Options) (core.Results, error) {
-	specs, err := Specs(w)
-	if err != nil {
-		return core.Results{}, err
-	}
-	return runSpecs(cfg, specs, m, opt)
+	return simulate(context.Background(), withSample(newRequest(cfg, w, m, opt.Budget, opt.Warmup), opt))
 }
 
 // RunReference is Run on the core's naive reference stepping path (no
-// event-driven issue wakeup, no idle-cycle fast-forward). Results are
-// bit-identical to Run — the equivalence tests assert it — so its only
-// uses are as the oracle in those tests and as the in-binary baseline of
-// cmd/experiments -perf, which fails if the two paths' counts differ.
+// event-driven issue wakeup, no idle-cycle fast-forward), always exact.
+// Results are bit-identical to Run — the equivalence tests assert it — so
+// its only uses are as the oracle in those tests and as the in-binary
+// baseline of cmd/experiments -perf, which fails if the two paths' counts
+// differ.
 func RunReference(cfg config.Microarch, w workload.Workload, m mapping.Mapping, opt Options) (core.Results, error) {
-	specs, err := Specs(w)
+	p, err := newProcessor(newRequest(cfg, w, m, opt.Budget, opt.Warmup), core.WithReferenceStepping())
 	if err != nil {
 		return core.Results{}, err
-	}
-	var opts []core.Option
-	if opt.Warmup > 0 {
-		opts = append(opts, core.WithWarmup(opt.Warmup))
-	}
-	opts = append(opts, core.WithReferenceStepping())
-	p, err := core.New(cfg, specs, m, opts...)
-	if err != nil {
-		return core.Results{}, err
-	}
-	return p.Run(opt.Budget)
-}
-
-func runSpecs(cfg config.Microarch, specs []core.ThreadSpec, m mapping.Mapping, opt Options) (core.Results, error) {
-	opts := append([]core.Option{}, testCoreOptions...)
-	if opt.Warmup > 0 {
-		opts = append(opts, core.WithWarmup(opt.Warmup))
-	}
-	p, err := core.New(cfg, specs, m, opts...)
-	if err != nil {
-		return core.Results{}, err
-	}
-	if opt.Sample.Enabled() {
-		return p.RunSampled(opt.Budget, opt.Sample)
 	}
 	return p.Run(opt.Budget)
 }
@@ -240,19 +203,6 @@ type Measurement struct {
 
 	// Mappings is the number of distinct mappings the oracle searched.
 	Mappings int
-}
-
-// Evaluate produces the Measurement for one configuration and workload:
-// monolithic configurations need no mapping (a single measurement serves
-// all three series, as in the paper); multipipeline configurations run the
-// heuristic mapping at full budget and exhaustively search all distinct
-// mappings for BEST/WORST. All simulations fan out through a short-lived
-// engine; use Runner.Evaluate to share an engine (and its cache) across
-// calls.
-func Evaluate(cfg config.Microarch, w workload.Workload, opt Options) (Measurement, error) {
-	return ephemeral(opt, func(r *Runner) (Measurement, error) {
-		return r.Evaluate(context.Background(), cfg, w, opt)
-	})
 }
 
 // evalPlan is the batch of engine jobs behind one Measurement: the

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
 
 	"hdsmt/internal/area"
 	"hdsmt/internal/config"
+	"hdsmt/internal/engine"
 	"hdsmt/internal/mapping"
 	"hdsmt/internal/workload"
 )
@@ -14,6 +16,17 @@ import (
 // tinyOptions keeps unit tests fast; shape assertions use modest budgets.
 func tinyOptions() Options {
 	return Options{Budget: 3_000, Warmup: 2_000, OracleBudget: 1_500}
+}
+
+// testRunner builds a fresh Runner that is closed when the test ends.
+func testRunner(t *testing.T) *Runner {
+	t.Helper()
+	r, err := NewRunner(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	return r
 }
 
 func TestSpecs(t *testing.T) {
@@ -74,7 +87,7 @@ func TestHeuristicMappingUsesProfiles(t *testing.T) {
 }
 
 func TestEvaluateMonolithic(t *testing.T) {
-	m, err := Evaluate(config.MustParse("M8"), workload.MustByName("2W1"), tinyOptions())
+	m, err := testRunner(t).Evaluate(context.Background(), config.MustParse("M8"), workload.MustByName("2W1"), tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +100,7 @@ func TestEvaluateMonolithic(t *testing.T) {
 }
 
 func TestEvaluateClusteredOrdering(t *testing.T) {
-	m, err := Evaluate(config.MustParse("2M4+2M2"), workload.MustByName("2W7"), tinyOptions())
+	m, err := testRunner(t).Evaluate(context.Background(), config.MustParse("2M4+2M2"), workload.MustByName("2W7"), tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +115,16 @@ func TestEvaluateClusteredOrdering(t *testing.T) {
 	}
 }
 
+// TestEvaluateDeterministic runs the cell on two runners, so the second
+// evaluation simulates again instead of hitting the first one's memo store.
 func TestEvaluateDeterministic(t *testing.T) {
 	cfg := config.MustParse("2M4+2M2")
 	w := workload.MustByName("2W9")
-	a, err := Evaluate(cfg, w, tinyOptions())
+	a, err := testRunner(t).Evaluate(context.Background(), cfg, w, tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Evaluate(cfg, w, tinyOptions())
+	b, err := testRunner(t).Evaluate(context.Background(), cfg, w, tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +147,7 @@ func memFigure(t *testing.T) FigResult {
 		t.Skip("full MEM sub-figure sweep (tens of seconds); run without -short for it")
 	}
 	memFig.once.Do(func() {
-		memFig.fig, memFig.err = RunFigure(workload.MEM, tinyOptions())
+		memFig.fig, memFig.err = testRunner(t).RunFigure(context.Background(), workload.MEM, tinyOptions())
 	})
 	if memFig.err != nil {
 		t.Fatal(memFig.err)
@@ -200,13 +215,6 @@ func TestOptionsDefaults(t *testing.T) {
 	o.OracleBudget = 7
 	if o.oracleBudget() != 7 {
 		t.Error("oracle budget override ignored")
-	}
-	if o.workers() <= 0 {
-		t.Error("workers must be positive")
-	}
-	o.Parallel = 3
-	if o.workers() != 3 {
-		t.Error("parallel override ignored")
 	}
 }
 
