@@ -29,6 +29,7 @@ import (
 
 	"hdsmt/internal/client"
 	"hdsmt/internal/server"
+	"hdsmt/internal/telemetry"
 	"hdsmt/internal/tshist"
 )
 
@@ -69,13 +70,17 @@ func main() {
 	// The activity pane tails the server-wide firehose in the background;
 	// a torn stream reconnects inside Watch, and a drained server simply
 	// stops producing events while the history poll keeps the panes fresh.
-	ring := &eventRing{cap: *eventsN}
-	go func() {
-		_ = c.Watch(ctx, 0, func(ev server.Event) error {
-			ring.add(ev)
-			return nil
-		})
-	}()
+	// With no room for events there is nothing to follow.
+	var tail *eventTail
+	if *eventsN > 0 {
+		tail = &eventTail{ring: telemetry.NewRing[server.Event](*eventsN)}
+		go func() {
+			_ = c.Watch(ctx, 0, func(ev server.Event) error {
+				tail.add(ev)
+				return nil
+			})
+		}()
+	}
 
 	t := time.NewTicker(*interval)
 	defer t.Stop()
@@ -87,7 +92,7 @@ func main() {
 		if err != nil {
 			fmt.Printf("hdsmtop: %s unreachable: %v\n", *addr, err)
 		} else {
-			render(os.Stdout, *addr, h, ring.tail(), *plain)
+			render(os.Stdout, *addr, h, tail.events(), *plain)
 		}
 		select {
 		case <-ctx.Done():
@@ -97,29 +102,30 @@ func main() {
 	}
 }
 
-// eventRing is the bounded, concurrency-safe tail of the event feed.
-type eventRing struct {
-	mu  sync.Mutex
-	cap int
-	buf []server.Event
+// eventTail is the bounded, concurrency-safe tail of the event feed.
+type eventTail struct {
+	mu   sync.Mutex
+	ring telemetry.Ring[server.Event]
 }
 
-func (r *eventRing) add(ev server.Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cap <= 0 {
-		return
-	}
-	r.buf = append(r.buf, ev)
-	if len(r.buf) > r.cap {
-		r.buf = r.buf[len(r.buf)-r.cap:]
-	}
+func (t *eventTail) add(ev server.Event) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.ring.Push(ev)
 }
 
-func (r *eventRing) tail() []server.Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]server.Event(nil), r.buf...)
+// events returns the retained events oldest first, nil while there are
+// none (and on a nil tail) so render leaves the pane out.
+func (t *eventTail) events() []server.Event {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.ring.Len() == 0 {
+		return nil
+	}
+	return t.ring.Slice()
 }
 
 // render draws one full frame: SLO status, per-kind windowed stats,

@@ -144,7 +144,7 @@ func (c *Client) streamOnce(ctx context.Context, path string, last *int64, follo
 					if err := fn(ev); err != nil {
 						return retry.Permanent(err)
 					}
-					terminal = !follow && terminalEvent(ev.Type)
+					terminal = !follow && server.TerminalEvent(ev.Type)
 				}
 			}
 		case strings.HasPrefix(line, "data:"):
@@ -165,14 +165,4 @@ func (c *Client) streamOnce(ctx context.Context, path string, last *int64, follo
 	}
 	// Clean EOF without a terminal event — the server drained; reconnect.
 	return fmt.Errorf("event stream for %s ended before job settled", path)
-}
-
-// terminalEvent mirrors the server's classification of stream-ending
-// event types.
-func terminalEvent(typ string) bool {
-	switch typ {
-	case server.EventSettled, server.EventEvicted, server.EventInterrupted:
-		return true
-	}
-	return false
 }

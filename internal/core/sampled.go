@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"hdsmt/internal/branch"
-	"hdsmt/internal/cache"
 	"hdsmt/internal/isa"
 	"hdsmt/internal/pipeline"
 	"hdsmt/internal/trace"
@@ -617,107 +615,4 @@ func ratioStats(intervals []SampleInterval) (ratio, sd float64) {
 	}
 	ybar := sumY / n
 	return ratio, math.Sqrt(ss/(n-1)) / ybar
-}
-
-// ------------------------------------------------------------ checkpoint --
-
-// Checkpoint is the serialized functional-warming state at a sampling
-// interval boundary: branch tables (perceptron, BTB, per-thread RAS) and
-// the cache/TLB hierarchy. The sampler itself warms these structures in
-// place — a checkpoint is the portable form, restoring bit-identically for
-// tests, debugging, and future distributed sampling.
-type Checkpoint struct {
-	Pred *branch.PredictorState
-	BTB  *branch.BTBState
-	RAS  []*branch.RASState
-	Hier *cache.HierarchyState
-}
-
-// Checkpoint captures the processor's functional-warming state.
-func (p *Processor) Checkpoint() *Checkpoint {
-	c := &Checkpoint{
-		Pred: p.pred.Snapshot(),
-		BTB:  p.btb.Snapshot(),
-		Hier: p.hier.Snapshot(),
-	}
-	for _, r := range p.ras {
-		c.RAS = append(c.RAS, r.Snapshot())
-	}
-	return c
-}
-
-// RestoreCheckpoint overwrites the processor's functional-warming state
-// with a previously captured checkpoint.
-func (p *Processor) RestoreCheckpoint(c *Checkpoint) {
-	if len(c.RAS) != len(p.ras) {
-		panic(fmt.Sprintf("core: checkpoint has %d RAS states for %d threads", len(c.RAS), len(p.ras)))
-	}
-	p.pred.Restore(c.Pred)
-	p.btb.Restore(c.BTB)
-	for i, r := range p.ras {
-		r.Restore(c.RAS[i])
-	}
-	p.hier.Restore(c.Hier)
-}
-
-// MarshalBinary encodes the checkpoint deterministically: each component
-// in declaration order with a little-endian length prefix.
-func (c *Checkpoint) MarshalBinary() ([]byte, error) {
-	var dst []byte
-	parts := []interface{ MarshalBinary() ([]byte, error) }{c.Pred, c.BTB}
-	for _, r := range c.RAS {
-		parts = append(parts, r)
-	}
-	parts = append(parts, c.Hier)
-	dst = appendUint32(dst, uint32(len(c.RAS)))
-	for _, m := range parts {
-		b, err := m.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		dst = appendUint32(dst, uint32(len(b)))
-		dst = append(dst, b...)
-	}
-	return dst, nil
-}
-
-// UnmarshalBinary decodes an encoding produced by MarshalBinary.
-func (c *Checkpoint) UnmarshalBinary(src []byte) error {
-	if len(src) < 4 {
-		return fmt.Errorf("core: checkpoint truncated")
-	}
-	nras := int(uint32(src[0]) | uint32(src[1])<<8 | uint32(src[2])<<16 | uint32(src[3])<<24)
-	src = src[4:]
-	c.Pred = &branch.PredictorState{}
-	c.BTB = &branch.BTBState{}
-	c.Hier = &cache.HierarchyState{}
-	c.RAS = make([]*branch.RASState, nras)
-	parts := []interface{ UnmarshalBinary([]byte) error }{c.Pred, c.BTB}
-	for i := range c.RAS {
-		c.RAS[i] = &branch.RASState{}
-		parts = append(parts, c.RAS[i])
-	}
-	parts = append(parts, c.Hier)
-	for _, u := range parts {
-		if len(src) < 4 {
-			return fmt.Errorf("core: checkpoint component truncated")
-		}
-		n := int(uint32(src[0]) | uint32(src[1])<<8 | uint32(src[2])<<16 | uint32(src[3])<<24)
-		src = src[4:]
-		if len(src) < n {
-			return fmt.Errorf("core: checkpoint component truncated")
-		}
-		if err := u.UnmarshalBinary(src[:n]); err != nil {
-			return err
-		}
-		src = src[n:]
-	}
-	if len(src) != 0 {
-		return fmt.Errorf("core: checkpoint has %d trailing bytes", len(src))
-	}
-	return nil
-}
-
-func appendUint32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }

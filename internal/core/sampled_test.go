@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -211,54 +210,6 @@ func TestSampledSteadyStateAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(5, runUnit)
 	if avg > 0.01 {
 		t.Errorf("sampling unit allocates %.3f times in steady state, want 0", avg)
-	}
-}
-
-// TestCheckpointRoundTrip: the functional-warming state (branch tables,
-// cache/TLB arrays) serialized into an interval checkpoint restores
-// bit-identically into a fresh processor of the same shape.
-func TestCheckpointRoundTrip(t *testing.T) {
-	build := func() *Processor {
-		p, err := New(config.MustParse("2M4+2M2"), testSpecs(t, "gzip", "mcf"), []int{0, 1}, WithWarmup(500))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	warmed := build()
-	if _, err := warmed.RunSampled(4_000, testSampleParams); err != nil {
-		t.Fatal(err)
-	}
-	ck := warmed.Checkpoint()
-	enc, err := ck.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var decoded Checkpoint
-	if err := decoded.UnmarshalBinary(enc); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ck, &decoded) {
-		t.Fatal("decoded checkpoint differs from the original struct")
-	}
-
-	fresh := build()
-	fresh.RestoreCheckpoint(&decoded)
-	enc2, err := fresh.Checkpoint().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, enc2) {
-		t.Fatalf("restored state re-encodes differently: %d vs %d bytes", len(enc), len(enc2))
-	}
-
-	// Corrupted/truncated encodings must error, not panic.
-	if err := new(Checkpoint).UnmarshalBinary(enc[:len(enc)/2]); err == nil {
-		t.Error("truncated checkpoint decoded without error")
-	}
-	if err := new(Checkpoint).UnmarshalBinary(append(append([]byte{}, enc...), 0)); err == nil {
-		t.Error("over-long checkpoint decoded without error")
 	}
 }
 

@@ -52,9 +52,9 @@ const (
 	EventInterrupted = "interrupted"  // orphaned by a crash; not resumable
 )
 
-// terminalEvent reports whether typ ends a job's timeline: SSE streams
-// close after delivering it.
-func terminalEvent(typ string) bool {
+// TerminalEvent reports whether typ ends a job's timeline: SSE streams
+// close after delivering it, and clients stop following there.
+func TerminalEvent(typ string) bool {
 	switch typ {
 	case EventSettled, EventEvicted, EventInterrupted:
 		return true
@@ -133,7 +133,7 @@ func (tl *timeline) push(ev Event) {
 	// Full: the oldest event falls out. The accepted→settled spine stays
 	// readable as long as cap exceeds the job's progress chatter.
 	tl.events.Push(ev)
-	if terminalEvent(ev.Type) && !tl.neverClose {
+	if TerminalEvent(ev.Type) && !tl.neverClose {
 		tl.closed = true
 	}
 	for ch := range tl.subs {

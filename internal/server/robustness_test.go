@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -546,6 +547,34 @@ func TestJobDeadline(t *testing.T) {
 	// The slot freed: a follow-up job runs immediately.
 	if st2 := awaitJob(t, ts, postJob(t, ts, tinyRun()).ID); st2.State != "done" {
 		t.Errorf("job after timeout = %s, want done", st2.State)
+	}
+}
+
+// TestJobDeadlineSmallerWins: a spec's timeout_sec can lower the server's
+// default deadline but not raise it, and a timeout_sec no time.Duration
+// holds is rejected with 400 before admission — not accepted and then
+// failed at once (an overflowed, negative duration) or read as "no
+// timeout" (a negative or sub-nanosecond one).
+func TestJobDeadlineSmallerWins(t *testing.T) {
+	ts, _, _ := durableServer(t, filepath.Join(t.TempDir(), "jobs.jsonl"),
+		server.WithDeadlines(map[string]time.Duration{"run": 150 * time.Millisecond, "sweep": 150 * time.Millisecond}))
+	for _, sec := range []float64{-1, 1e-12, 1e10, math.MaxFloat64} {
+		spec := tinyRun()
+		spec.TimeoutSec = sec
+		if code, st, _ := postStatus(t, ts, spec, nil); code != http.StatusBadRequest {
+			t.Errorf("timeout_sec %g = %d, want 400", sec, code)
+			if code == http.StatusAccepted {
+				awaitJob(t, ts, st.ID)
+			}
+		}
+	}
+
+	spec := slowSweep()
+	spec.TimeoutSec = 3600
+	final := awaitJob(t, ts, postJob(t, ts, spec).ID)
+	if final.State != "failed" || !strings.Contains(final.Error, "deadline") {
+		t.Errorf("sweep with timeout_sec above the 150ms default = %s (%s), want failed past its deadline",
+			final.State, final.Error)
 	}
 }
 

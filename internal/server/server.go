@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -82,7 +83,9 @@ type JobSpec struct {
 
 	// TimeoutSec caps this job's wall-clock execution; past it the job
 	// settles as failed (deadline exceeded). 0 means the server's
-	// per-kind default (WithDeadlines), which may be unlimited.
+	// per-kind default (WithDeadlines), which may be unlimited; otherwise
+	// the smaller of the two applies. A negative value, or one a
+	// time.Duration cannot hold, is rejected with 400.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 
 	Config    string   `json:"config,omitempty"`
@@ -350,8 +353,9 @@ func WithAdmission(cfg AdmissionConfig) Option {
 }
 
 // WithDeadlines sets per-kind default execution deadlines (job kind →
-// wall-clock cap); JobSpec.TimeoutSec overrides per job. A job past its
-// deadline settles as failed, freeing its admission slot.
+// wall-clock cap); JobSpec.TimeoutSec may lower it per job (the smaller
+// wins). A job past its deadline settles as failed, freeing its admission
+// slot.
 func WithDeadlines(d map[string]time.Duration) Option {
 	return func(s *Server) {
 		s.deadlines = make(map[string]time.Duration, len(d))
@@ -850,6 +854,34 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// resolve validates a spec fully at submit time — its timeout, then its
+// cells or its search space — and returns the job's initial progress
+// total, the pareto archive it claims (empty for none) and the body that
+// executes it.
+func (s *Server) resolve(spec JobSpec) (total int, archivePath string, body func(context.Context, *job) (any, error), err error) {
+	if _, err := specTimeout(spec); err != nil {
+		return 0, "", nil, err
+	}
+	switch spec.Kind {
+	case "search", "pareto":
+		sp, st, opts, err := s.resolveSearch(spec)
+		if err != nil {
+			return 0, "", nil, err
+		}
+		return opts.Budget, opts.ArchivePath, func(ctx context.Context, j *job) (any, error) {
+			return s.searchBody(ctx, j, sp, st, opts)
+		}, nil
+	default:
+		cells, err := resolveCells(spec)
+		if err != nil {
+			return 0, "", nil, err
+		}
+		return len(cells), "", func(ctx context.Context, j *job) (any, error) {
+			return s.cellsBody(ctx, j, cells)
+		}, nil
+	}
+}
+
 // resolveCells expands a spec into its (config, workload) cells at submit
 // time, so malformed specs fail synchronously with 400 rather than
 // asynchronously.
@@ -867,6 +899,16 @@ func resolveCells(spec JobSpec) ([]sim.SweepCell, error) {
 		if err != nil {
 			return nil, err
 		}
+		if spec.Kind == "run" && spec.Mapping != nil {
+			// Validate against the thread-stretched configuration: the
+			// monolithic baseline accepts up to 6 threads (paper §3).
+			if got, want := len(spec.Mapping), w.Threads(); got != want {
+				return nil, fmt.Errorf("mapping covers %d threads, workload has %d", got, want)
+			}
+			if err := mapping.Validate(cfg.ForThreads(w.Threads()), spec.Mapping); err != nil {
+				return nil, err
+			}
+		}
 		return []sim.SweepCell{{Cfg: cfg, W: w}}, nil
 	case "sweep":
 		var cfgs []config.Microarch
@@ -881,17 +923,9 @@ func resolveCells(spec JobSpec) ([]sim.SweepCell, error) {
 				cfgs = append(cfgs, cfg)
 			}
 		}
-		var wls []workload.Workload
-		if len(spec.Workloads) == 0 {
-			wls = workload.All()
-		} else {
-			for _, name := range spec.Workloads {
-				w, err := workload.ByName(name)
-				if err != nil {
-					return nil, err
-				}
-				wls = append(wls, w)
-			}
+		wls, err := resolveWorkloads(spec.Workloads)
+		if err != nil {
+			return nil, err
 		}
 		cells := make([]sim.SweepCell, 0, len(cfgs)*len(wls))
 		for _, cfg := range cfgs {
@@ -903,6 +937,23 @@ func resolveCells(spec JobSpec) ([]sim.SweepCell, error) {
 	default:
 		return nil, fmt.Errorf("unknown job kind %q (want run, evaluate, sweep, search or pareto)", spec.Kind)
 	}
+}
+
+// resolveWorkloads resolves named workloads, or every workload when none
+// are named.
+func resolveWorkloads(names []string) ([]workload.Workload, error) {
+	if len(names) == 0 {
+		return workload.All(), nil
+	}
+	wls := make([]workload.Workload, 0, len(names))
+	for _, name := range names {
+		w, err := workload.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		wls = append(wls, w)
+	}
+	return wls, nil
 }
 
 // resolveSearch validates a search or pareto spec at submit time and
@@ -931,17 +982,9 @@ func (s *Server) resolveSearch(spec JobSpec) (search.Space, search.Strategy, sea
 		return zero, nil, search.Options{}, fmt.Errorf("%s search needs a positive search_budget", strategy)
 	}
 
-	var wls []workload.Workload
-	if len(spec.Workloads) == 0 {
-		wls = workload.All()
-	} else {
-		for _, name := range spec.Workloads {
-			wl, err := workload.ByName(name)
-			if err != nil {
-				return zero, nil, search.Options{}, err
-			}
-			wls = append(wls, wl)
-		}
+	wls, err := resolveWorkloads(spec.Workloads)
+	if err != nil {
+		return zero, nil, search.Options{}, err
 	}
 	maxPipes := spec.MaxPipes
 	if maxPipes <= 0 {
@@ -1056,44 +1099,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Validate fully before admission: a malformed spec is the client's
 	// fault (400) and must not consume rate-limit tokens or quota.
-	var total int
-	var archivePath string
-	var body func(context.Context, *job) (any, error)
-	switch spec.Kind {
-	case "search", "pareto":
-		sp, st, opts, err := s.resolveSearch(spec)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		total, archivePath = opts.Budget, opts.ArchivePath
-		body = func(ctx context.Context, j *job) (any, error) {
-			return s.searchBody(ctx, j, sp, st, opts)
-		}
-	default:
-		cells, err := resolveCells(spec)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		if spec.Kind == "run" && spec.Mapping != nil {
-			// Validate against the thread-stretched configuration: the
-			// monolithic baseline accepts up to 6 threads (paper §3).
-			cfg := cells[0].Cfg.ForThreads(cells[0].W.Threads())
-			if got, want := len(spec.Mapping), cells[0].W.Threads(); got != want {
-				httpError(w, http.StatusBadRequest,
-					fmt.Errorf("mapping covers %d threads, workload has %d", got, want))
-				return
-			}
-			if err := mapping.Validate(cfg, spec.Mapping); err != nil {
-				httpError(w, http.StatusBadRequest, err)
-				return
-			}
-		}
-		total = len(cells)
-		body = func(ctx context.Context, j *job) (any, error) {
-			return s.cellsBody(ctx, j, cells)
-		}
+	total, archivePath, body, err := s.resolve(spec)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
 	}
 
 	tc, _ := telemetry.TraceContextFrom(r.Context())
@@ -1220,11 +1229,31 @@ func (s *Server) jobContext(spec JobSpec, requestID string, j *job) (context.Con
 	return context.WithCancel(base)
 }
 
+// deadlineFor is a job's execution deadline, 0 for none: the smaller of
+// the server's per-kind default and the spec's timeout_sec. A timeout_sec
+// that specTimeout rejects counts as none; only a journal written before
+// submit-time validation can carry one.
 func (s *Server) deadlineFor(spec JobSpec) time.Duration {
-	if spec.TimeoutSec > 0 {
-		return time.Duration(spec.TimeoutSec * float64(time.Second))
+	d := s.deadlines[spec.Kind]
+	if own, _ := specTimeout(spec); own > 0 && (d <= 0 || own < d) {
+		d = own
 	}
-	return s.deadlines[spec.Kind]
+	return d
+}
+
+// specTimeout converts a spec's timeout_sec to a duration, 0 when unset.
+// A negative value, or one no time.Duration holds (below 1ns or from
+// about 9.2e9 s up, where the conversion would overflow), is an error.
+func specTimeout(spec JobSpec) (time.Duration, error) {
+	if spec.TimeoutSec == 0 {
+		return 0, nil
+	}
+	ns := spec.TimeoutSec * float64(time.Second)
+	if !(ns >= 1 && ns < math.MaxInt64) {
+		return 0, fmt.Errorf("timeout_sec %g must be 0 (the server default) or from 1e-9 to %.4g seconds",
+			spec.TimeoutSec, math.MaxInt64/float64(time.Second))
+	}
+	return time.Duration(ns), nil
 }
 
 // dropJob removes a job that never launched (archive conflict, admission
