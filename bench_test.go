@@ -237,9 +237,13 @@ func BenchmarkCoreStep(b *testing.B) {
 // operation — evaluating the §2.1 HEUR mapping on the flagship
 // heterogeneous configuration — in simulated MIPS. Like the Fig. 4
 // sweeps, it covers one workload of each type (ILP, MEM, MIX), so the
-// metric reflects the mix a real evaluation simulates: memory-bound cells
-// dominate wall-clock, exactly where idle-cycle fast-forward pays. It is
-// the basket cmd/experiments -perf times (BENCH_PR2.json pins its counts).
+// metric reflects the mix a real evaluation simulates. The MEM cell has by
+// far the most simulated cycles, and the idle-cycle fast-forward skips
+// about four in five of them (its stage loop runs 16,736 of 87,208); the
+// ILP and MIX cells step 45% and 35% of theirs. It is the basket
+// cmd/experiments -perf times (BENCH_PR2.json pins its counts, and -perf
+// prints each cell's stepped and skipped cycles, which
+// internal/core's TestSteppedCyclesPinned pins).
 // Profiles are warmed before timing (they are offline, memoized inputs to
 // HEUR, not part of the simulation being measured).
 func BenchmarkEvaluateHEUR(b *testing.B) {

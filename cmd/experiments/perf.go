@@ -132,6 +132,9 @@ func genPerf(p params) (any, error) {
 			mode.name, mips[i], wall*1e9/float64(total.Cycles), allocs/float64(total.Cycles))
 	}
 	fmt.Printf("perf: optimized/reference speedup = %.2fx\n", mips[1]/mips[0])
+	if err := b.printStepped(opt, counts[1]); err != nil {
+		return nil, err
+	}
 
 	report := perfReport{Benchmark: b.name("evaluate-HEUR")}
 	for i, c := range b.cells {
@@ -143,4 +146,32 @@ func genPerf(p params) (any, error) {
 		report.Cells = append(report.Cells, perfCell{Workload: c.w.Name, Reference: ref, Optimized: opt})
 	}
 	return report, nil
+}
+
+// printStepped reruns each cell on the optimized path through core.New, as
+// sim.Run builds it, and prints how many of its cycles (warm-up included)
+// the stage loop stepped and how many the idle skip jumped over. want holds
+// the cell's measured counts from sim.Run, which the rerun must match.
+func (b basket) printStepped(opt sim.Options, want []perfCounts) error {
+	for i, c := range b.cells {
+		specs, err := sim.Specs(c.w)
+		if err != nil {
+			return err
+		}
+		p, err := core.New(b.cfg, specs, c.m, core.WithWarmup(opt.Warmup))
+		if err != nil {
+			return err
+		}
+		r, err := p.Run(opt.Budget)
+		if err != nil {
+			return err
+		}
+		if r.Cycles != want[i].Cycles {
+			return fmt.Errorf("%s: core.New run took %d cycles, sim.Run %d", c.w.Name, r.Cycles, want[i].Cycles)
+		}
+		stepped, total := p.Stepped(), p.Cycle()
+		fmt.Printf("perf: %-10s %8d stepped %8d skipped of %8d cycles (%.1f%% stepped)\n",
+			c.w.Name, stepped, total-stepped, total, 100*float64(stepped)/float64(total))
+	}
+	return nil
 }

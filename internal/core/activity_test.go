@@ -25,7 +25,7 @@ func TestActivityEquivalence(t *testing.T) {
 		{"1M6+2M4+2M2", []int{0, 1, 2}, []string{"gcc", "vpr", "eon"}},
 	}
 	for _, tc := range cases {
-		opt, ref, optStats, _ := runBoth(t, tc.cfg, tc.mapping, 5_000, []Option{WithWarmup(1_000)}, tc.names...)
+		opt, ref, optStats, _ := runBoth(t, config.MustParse(tc.cfg), tc.mapping, 5_000, []Option{WithWarmup(1_000)}, tc.names...)
 		if !reflect.DeepEqual(opt.Activity, ref.Activity) {
 			t.Errorf("%s/%v: activity diverges\noptimized: %+v\nreference: %+v",
 				tc.cfg, tc.names, opt.Activity, ref.Activity)

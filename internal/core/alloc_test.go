@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"hdsmt/internal/bench"
 	"hdsmt/internal/cache"
 	"hdsmt/internal/config"
 )
@@ -75,6 +77,76 @@ func TestNewValidatesEventRingBounds(t *testing.T) {
 	_, err = New(cfg, testSpecs(t, "gzip"), []int{0})
 	if err == nil {
 		t.Fatal("New accepted a front-end issue delay beyond the event ring")
+	}
+}
+
+// TestNewAcceptsLargestEventRingReach shows that sizing the short event
+// rings to their reach rejects nothing the (0, ringSize) bounds above
+// accept: the largest FLUSH detect latency and the largest front-end issue
+// delay each get a ringSize-slot ring, and both stepping paths run them to
+// identical Results.
+func TestNewAcceptsLargestEventRingReach(t *testing.T) {
+	// hdSMT's defaults: a 6-cycle issue delay and a 37-cycle detection.
+	p, err := New(config.MustParse("2M4+2M2"), testSpecs(t, "gzip"), []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.issueTimers) != 8 || len(p.flushAt) != 64 || len(p.completions) != ringSize {
+		t.Errorf("rings have %d/%d/%d slots (issue timers/FLUSH/completions), want 8/64/%d",
+			len(p.issueTimers), len(p.flushAt), len(p.completions), ringSize)
+	}
+
+	// FLUSH detection ringSize-1 cycles out, through a slow L2 array (its
+	// latency only times the miss detector). Every load completes before
+	// then, so no detection is scheduled. Each run gets a fresh hierarchy.
+	hp := cache.DefaultParams()
+	hp.L2Latency = ringSize - 1 - hp.L1HitLatency - hp.L1MissPenalty
+	slowDetect := func(pr *Processor) {
+		WithHierarchy(cache.NewHierarchyWith(hp, cache.DefaultL1I(), cache.DefaultL1D(), cache.DefaultL2()))(pr)
+	}
+
+	// A front-end issue delay of ringSize-1 cycles through a slow register
+	// file. Every completion pays the extra read delay too, so the program
+	// keeps to operations short enough for the completion ring: no loads,
+	// divides or floating point.
+	slowRF := config.MustParse("M8")
+	slowRF.Params.RegAccessLatency = ringSize - frontLatency
+	b := bench.MustByName("gzip")
+	b.Params.LoadFrac, b.Params.DivFrac, b.Params.FPFrac = 0, 0, 0
+	prog, err := b.Build(0x100000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shortOps := []ThreadSpec{{Name: "gzip-alu", Program: prog, Seed: b.Params.Seed, DataBase: 0x10000000}}
+
+	for _, tc := range []struct {
+		name  string
+		cfg   config.Microarch
+		specs []ThreadSpec
+		opts  []Option
+		ring  func(*Processor) eventRing
+	}{
+		{"flush-detect", config.MustParse("M8"), testSpecs(t, "gzip", "mcf"), []Option{slowDetect},
+			func(p *Processor) eventRing { return p.flushAt }},
+		{"issue-delay", slowRF, shortOps, nil,
+			func(p *Processor) eventRing { return p.issueTimers }},
+	} {
+		var rs [2]Results
+		for i, extra := range [][]Option{nil, {WithReferenceStepping()}} {
+			p, err := New(tc.cfg, tc.specs, make([]int, len(tc.specs)), append(append([]Option{}, tc.opts...), extra...)...)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if n := len(tc.ring(p)); n != ringSize {
+				t.Errorf("%s: ring has %d slots, want %d", tc.name, n, ringSize)
+			}
+			if rs[i], err = p.Run(1_000); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		if !reflect.DeepEqual(rs[0], rs[1]) {
+			t.Errorf("%s: results diverge\noptimized: %+v\nreference: %+v", tc.name, rs[0], rs[1])
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hdsmt/internal/fetch"
 	"hdsmt/internal/isa"
@@ -10,10 +11,57 @@ import (
 	"hdsmt/internal/trace"
 )
 
-// ringSize bounds how far ahead a completion or flush event can be
-// scheduled: it must exceed the worst-case completion latency (TLB miss 300
-// + L1 miss 22 + memory 250 + execute + register write ≈ 600).
+// ringSize bounds how far ahead any event can be scheduled, and is the
+// completion ring's length: it must exceed the worst-case completion
+// latency (TLB miss 300 + L1 miss 22 + memory 250 + execute + register
+// write ≈ 600).
 const ringSize = 1024
+
+// slotCap is the capacity each event-ring slot is pre-sized to.
+const slotCap = 16
+
+// eventRing is a timing wheel of uop events: an event due at cycle c sits
+// in slot c & (len-1). Its length is a power of two above the ring's reach
+// (the farthest distance ahead any event is scheduled), so the pending
+// events — all due in (now, now+reach] — never share a slot with one due
+// at a different cycle, and a slot is drained at its cycle before new
+// events can land in it again. Slots are recycled slices, avoiding
+// per-cycle map traffic.
+type eventRing [][]*pipeline.UOp
+
+// ringSlots is the length of a ring of the given reach: the smallest power
+// of two above it.
+func ringSlots(reach int) int { return 1 << bits.Len(uint(reach)) }
+
+// newEventRing builds a ring of n slots, carving each slot's slotCap
+// capacity off the front of *backing.
+func newEventRing(n int, backing *[]*pipeline.UOp) eventRing {
+	r := make(eventRing, n)
+	for i := range r {
+		r[i] = (*backing)[:0:slotCap]
+		*backing = (*backing)[slotCap:]
+	}
+	return r
+}
+
+// slot returns the index of the slot holding events due at cycle c.
+func (r eventRing) slot(c uint64) int { return int(c & uint64(len(r)-1)) }
+
+// add schedules u at cycle c.
+func (r eventRing) add(c uint64, u *pipeline.UOp) {
+	s := r.slot(c)
+	r[s] = append(r[s], u)
+}
+
+// pending reports whether any event is due at cycle c.
+func (r eventRing) pending(c uint64) bool { return len(r[r.slot(c)]) != 0 }
+
+// clear empties every slot, keeping its capacity.
+func (r eventRing) clear() {
+	for s := range r {
+		r[s] = r[s][:0]
+	}
+}
 
 // step advances the processor one cycle. Stages run commit-first (reverse
 // pipeline order) so resources freed in a cycle become usable the next
@@ -25,6 +73,7 @@ func (p *Processor) step() {
 		p.fastForward()
 	}
 	p.cycle++
+	p.stepped++
 	p.stats.Cycles = p.cycle
 	p.maybeRemap()
 	p.commitStage()
@@ -38,10 +87,12 @@ func (p *Processor) step() {
 // the coming cycles cannot change machine state:
 //
 //   - no issue-queue ready list has an entry (nothing to issue),
+//   - no unfinished thread's ROB head has completed (nothing to commit;
+//     completed uops queued behind an unfinished head, typically the
+//     younger work behind a load missing to memory, wait for the head),
 //   - no pipeline can dispatch: its fetch buffer is empty, or the head is
 //     provably blocked — owning thread's ROB full, target queue full, or
 //     the shared register file exhausted,
-//   - no ROB head has completed (nothing to commit),
 //   - no thread is fetchable until some known future cycle.
 //
 // Every one of those blockers is lifted only by an event already on the
@@ -51,15 +102,25 @@ func (p *Processor) step() {
 // effect, and skipping them is accounting-identical for every simulated
 // quantity. (The single exception is per-cycle stall-attempt polling
 // counters — regfile.Stats.AllocFails — which by construction count
-// skipped polls; nothing in Results derives from them.) Typical win: a
-// 250-cycle memory stall costs one ring scan instead of 250 full stage
+// skipped polls; nothing in Results derives from them.) The jump also
+// stops at the horizon, the cycle a sampled window's loop waits for, so
+// that loop ends on the cycle it would on the reference path. Typical win:
+// a 250-cycle memory stall costs one ring scan instead of 250 full stage
 // sweeps.
 func (p *Processor) fastForward() {
-	// Fast fail for busy cycles: anything issuable or completed-but-
-	// uncommitted means next cycle has work (doneCount == 0 also implies
-	// no ROB head is completed, sparing the per-thread check below).
-	if p.readyCount != 0 || p.doneCount != 0 {
+	// Fast fail for busy cycles: anything issuable means next cycle has
+	// work, and so does a completed ROB head. A thread with no completed
+	// uop at all (doneUops == 0) cannot have one, sparing the ROB peek.
+	if p.readyCount != 0 {
 		return
+	}
+	for _, t := range p.threads {
+		if t.doneUops == 0 || t.finished {
+			continue
+		}
+		if u, ok := t.rob.Head(); ok && u.Stage == pipeline.StageDone {
+			return // commit retires it next cycle
+		}
 	}
 	c := p.cycle
 	for _, b := range p.pipes {
@@ -96,10 +157,16 @@ func (p *Processor) fastForward() {
 			limit = next
 		}
 	}
+	if p.horizon > c && p.horizon < limit {
+		limit = p.horizon
+	}
+	// Each ring holds only events due within its reach, which is below its
+	// length, so the first cycle whose slot is non-empty in any ring is
+	// exactly the next event: a slot seen again past the ring's length is
+	// one already found empty.
 	target := limit
 	for cc := c + 1; cc < limit; cc++ {
-		s := cc % ringSize
-		if len(p.completions[s]) != 0 || len(p.flushAt[s]) != 0 || len(p.issueTimers[s]) != 0 {
+		if p.completions.pending(cc) || p.flushAt.pending(cc) || p.issueTimers.pending(cc) {
 			target = cc
 			break
 		}
@@ -192,7 +259,7 @@ func (p *Processor) writebackStage() {
 	c := p.cycle
 	// FLUSH events fire before completions: detection happens mid-flight,
 	// well before the load's own completion cycle.
-	slot := c % ringSize
+	slot := p.flushAt.slot(c)
 	for _, u := range p.flushAt[slot] {
 		if u.Stage == pipeline.StageIssued {
 			p.doFlush(u)
@@ -200,12 +267,13 @@ func (p *Processor) writebackStage() {
 	}
 	p.flushAt[slot] = p.flushAt[slot][:0]
 
+	slot = p.completions.slot(c)
 	for _, u := range p.completions[slot] {
 		if u.Stage != pipeline.StageIssued {
 			// Squashed while executing. The completion event is the last
-			// reference to the record — its FLUSH-detect event, if any,
-			// fired strictly earlier (detect latency < completion latency)
-			// — so it can be recycled here rather than leak to the GC.
+			// reference to the record — its FLUSH-detect event, if any, is
+			// never scheduled past the completion and fires first within a
+			// cycle — so it can be recycled here rather than leak to the GC.
 			if u.Stage == pipeline.StageSquashed {
 				p.releaseUOp(u)
 			}
@@ -379,14 +447,13 @@ func (p *Processor) wakeReg(ph int) {
 // scheduleIssuable routes a uop whose operands are all available to the
 // ready list — immediately when cycle ≥ IssueAt, otherwise via the issue
 // timer ring at IssueAt. Distances are bounded by frontLatency +
-// RegAccessLatency - 1, validated against ringSize at construction.
+// RegAccessLatency - 1, the issue-timer ring's reach.
 func (p *Processor) scheduleIssuable(u *pipeline.UOp) {
 	if u.IssueAt <= p.cycle {
 		p.pushReady(u)
 		return
 	}
-	slot := u.IssueAt % ringSize
-	p.issueTimers[slot] = append(p.issueTimers[slot], u)
+	p.issueTimers.add(u.IssueAt, u)
 	u.TimerQueued = true
 }
 
@@ -412,7 +479,7 @@ func (p *Processor) unwatch(u *pipeline.UOp) {
 	u.WaitCount = 0
 	if u.TimerQueued {
 		u.TimerQueued = false
-		slot := u.IssueAt % ringSize
+		slot := p.issueTimers.slot(u.IssueAt)
 		ts := p.issueTimers[slot]
 		for k, tu := range ts {
 			if tu == u {
@@ -458,7 +525,7 @@ func (p *Processor) issueStage() {
 	// Fire the front-end delay timers due this cycle. Ring entries are
 	// exactly the uops whose operands resolved before IssueAt (squashes
 	// remove theirs eagerly), so each one becomes issuable now.
-	slot := c % ringSize
+	slot := p.issueTimers.slot(c)
 	for _, u := range p.issueTimers[slot] {
 		u.TimerQueued = false
 		p.pushReady(u)
@@ -555,6 +622,7 @@ func (p *Processor) issueOne(u *pipeline.UOp, c, extraRF uint64) {
 	pa.QueueReads[kind]++
 	pa.FUOps[kind]++
 	lat := uint64(isa.Latency(u.Inst.Class))
+	l2Miss := false
 	if u.Inst.Class.IsLoad() {
 		res := p.hier.Load(u.Inst.EffAddr, c)
 		p.activity.DCacheReads++
@@ -568,12 +636,7 @@ func (p *Processor) issueOne(u *pipeline.UOp, c, extraRF uint64) {
 			}
 			if res.L2Miss {
 				t.stats.L2LoadMisses++
-				if p.flushMech {
-					// FLUSH detects the L2 miss once the load has been in
-					// the hierarchy longer than an L2 hit could take.
-					at := (c + uint64(p.hier.L2DetectLatency())) % ringSize
-					p.flushAt[at] = append(p.flushAt[at], u)
-				}
+				l2Miss = true
 			}
 		}
 	}
@@ -581,11 +644,19 @@ func (p *Processor) issueOne(u *pipeline.UOp, c, extraRF uint64) {
 	if u.DoneCycle-c >= ringSize {
 		panic(fmt.Sprintf("core: completion latency %d exceeds event ring", u.DoneCycle-c))
 	}
+	// FLUSH detects the L2 miss once the load has been in the hierarchy
+	// longer than an L2 hit could take. A load that completes before then
+	// is never detected — and its record may be recycled by the time a
+	// later detection would fire, so none is scheduled.
+	if l2Miss && p.flushMech {
+		if detect := c + uint64(p.hier.L2DetectLatency()); detect <= u.DoneCycle {
+			p.flushAt.add(detect, u)
+		}
+	}
 	u.Stage = pipeline.StageIssued
 	p.stats.TotalIssued++
 	t.icount--
-	slot := u.DoneCycle % ringSize
-	p.completions[slot] = append(p.completions[slot], u)
+	p.completions.add(u.DoneCycle, u)
 }
 
 // -------------------------------------------------------------- dispatch --

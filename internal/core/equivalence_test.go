@@ -5,17 +5,19 @@ import (
 	"reflect"
 	"testing"
 
+	"hdsmt/internal/cache"
 	"hdsmt/internal/config"
 	"hdsmt/internal/fetch"
+	"hdsmt/internal/perf"
 )
 
 // runBoth runs the same simulation twice — once on the optimized stepping
 // path (event-driven wakeup + idle-cycle fast-forward) and once on the
 // naive reference path — and returns both outcomes.
-func runBoth(t *testing.T, cfgName string, mapping []int, budget uint64, opts []Option, names ...string) (opt, ref Results, optStats, refStats Stats) {
+func runBoth(t *testing.T, cfg config.Microarch, mapping []int, budget uint64, opts []Option, names ...string) (opt, ref Results, optStats, refStats Stats) {
 	t.Helper()
 	run := func(extra ...Option) (Results, Stats) {
-		p, err := New(config.MustParse(cfgName), testSpecs(t, names...), mapping, append(append([]Option{}, opts...), extra...)...)
+		p, err := New(cfg, testSpecs(t, names...), mapping, append(append([]Option{}, opts...), extra...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,34 +35,61 @@ func runBoth(t *testing.T, cfgName string, mapping []int, budget uint64, opts []
 // TestSteppingEquivalence pins the tentpole invariant: the event-driven
 // wakeup scheduler and the idle-cycle fast-forward must be bit-identical
 // to per-cycle polling across machine models, fetch policies (FLUSH
-// mechanism on and off), and thread counts.
+// mechanism on and off), thread counts, and event rings of every size.
 func TestSteppingEquivalence(t *testing.T) {
+	// The MEM basket cell, where the idle skip does most of its work:
+	// completed uops queue behind an L2-missing ROB head.
+	memCfg, memNames, memMap := basketCell(t, "2W4")
+
+	// Both construction-sized rings far from their default lengths: a
+	// 40-cycle register file stretches the issue-timer reach to 44 cycles
+	// (64 slots), and a slow L1 miss puts FLUSH detection 500 cycles out
+	// (512 slots). The TLB miss shrinks so the longest completion still
+	// fits the completion ring. Each run gets a fresh (cold) hierarchy.
+	slowRF := config.MustParse("M8")
+	slowRF.Params.RegAccessLatency = 40
+	hp := cache.DefaultParams()
+	hp.L1MissPenalty = 485
+	hp.TLBMissCycles = 100
+	slowL2 := func(pr *Processor) {
+		WithHierarchy(cache.NewHierarchyWith(hp, cache.DefaultL1I(), cache.DefaultL1D(), cache.DefaultL2()))(pr)
+	}
+
 	cases := []struct {
-		cfg     string
+		cfg     config.Microarch
 		mapping []int
 		opts    []Option
 		names   []string
+		budget  uint64 // 6_000 when zero
 	}{
 		// Monolithic baseline: FLUSH mechanism active, mcf stalls hard.
-		{"M8", []int{0, 0}, nil, []string{"gzip", "mcf"}},
+		{config.MustParse("M8"), []int{0, 0}, nil, []string{"gzip", "mcf"}, 0},
 		// Single memory-bound thread: the fast-forward stress case.
-		{"M8", []int{0}, nil, []string{"mcf"}},
+		{config.MustParse("M8"), []int{0}, nil, []string{"mcf"}, 0},
 		// Heterogeneous multipipeline, L1MCOUNT.
-		{"2M4+2M2", []int{0, 1, 2, 3}, nil, []string{"gzip", "mcf", "gcc", "twolf"}},
+		{config.MustParse("2M4+2M2"), []int{0, 1, 2, 3}, nil, []string{"gzip", "mcf", "gcc", "twolf"}, 0},
 		// ICOUNT override: FLUSH mechanism disabled on the baseline.
-		{"M8", []int{0, 0}, []Option{WithPolicy(fetch.ICount{})}, []string{"mcf", "twolf"}},
+		{config.MustParse("M8"), []int{0, 0}, []Option{WithPolicy(fetch.ICount{})}, []string{"mcf", "twolf"}, 0},
 		// Warm-up boundary crossing.
-		{"2M4+2M2", []int{0, 2}, []Option{WithWarmup(2_000)}, []string{"crafty", "gap"}},
+		{config.MustParse("2M4+2M2"), []int{0, 2}, []Option{WithWarmup(2_000)}, []string{"crafty", "gap"}, 0},
 		// Three-pipeline heterogeneous machine.
-		{"1M6+2M4+2M2", []int{0, 1, 2}, nil, []string{"gcc", "vpr", "eon"}},
+		{config.MustParse("1M6+2M4+2M2"), []int{0, 1, 2}, nil, []string{"gcc", "vpr", "eon"}, 0},
+		// The 2W4 basket cell at the basket's budget and warm-up.
+		{memCfg, memMap, []Option{WithWarmup(perf.BasketWarmup)}, memNames, perf.BasketBudget},
+		// FLUSH on, with both short rings resized.
+		{slowRF, []int{0, 0}, []Option{slowL2}, []string{"gzip", "mcf"}, 0},
 	}
 	for _, tc := range cases {
-		opt, ref, optStats, refStats := runBoth(t, tc.cfg, tc.mapping, 6_000, tc.opts, tc.names...)
+		budget := tc.budget
+		if budget == 0 {
+			budget = 6_000
+		}
+		opt, ref, optStats, refStats := runBoth(t, tc.cfg, tc.mapping, budget, tc.opts, tc.names...)
 		if !reflect.DeepEqual(opt, ref) {
-			t.Errorf("%s/%v: results diverge\noptimized: %+v\nreference: %+v", tc.cfg, tc.names, opt, ref)
+			t.Errorf("%s/%v: results diverge\noptimized: %+v\nreference: %+v", tc.cfg.Name, tc.names, opt, ref)
 		}
 		if optStats != refStats {
-			t.Errorf("%s/%v: global stats diverge\noptimized: %+v\nreference: %+v", tc.cfg, tc.names, optStats, refStats)
+			t.Errorf("%s/%v: global stats diverge\noptimized: %+v\nreference: %+v", tc.cfg.Name, tc.names, optStats, refStats)
 		}
 	}
 }
@@ -110,7 +139,7 @@ func TestSteppingEquivalenceRandomized(t *testing.T) {
 			opts = append(opts, WithWarmup(1_000))
 		}
 		budget := uint64(2_000 + rng.Intn(4_000))
-		opt, ref, optStats, refStats := runBoth(t, cfg.Name, mapping, budget, opts, names...)
+		opt, ref, optStats, refStats := runBoth(t, config.MustParse(cfg.Name), mapping, budget, opts, names...)
 		if !reflect.DeepEqual(opt, ref) {
 			t.Errorf("seed %d (%s, %v, map %v, budget %d): results diverge\noptimized: %+v\nreference: %+v",
 				seed, cfg.Name, names, mapping, budget, opt, ref)

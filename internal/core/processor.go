@@ -42,15 +42,26 @@ type Processor struct {
 	threads []*thread
 
 	cycle uint64
-	// Event rings: completions/flush events land at (cycle & ringMask).
-	// Ring slots are recycled slices, avoiding per-cycle map traffic. The
-	// ring must out-span the longest possible completion latency.
-	completions [ringSize][]*pipeline.UOp
-	flushAt     [ringSize][]*pipeline.UOp
-	// issueTimers schedules dispatched uops at their IssueAt cycle (the
-	// front-end depth plus register-read delay): the third event source of
-	// the wakeup scheduler, alongside completions and FLUSH detections.
-	issueTimers [ringSize][]*pipeline.UOp
+	// stepped counts the cycles the stage loop actually ran; the rest of
+	// the clock was skipped by fastForward. Kept out of Stats, which both
+	// stepping paths must report identically.
+	stepped uint64
+	// horizon, when ahead of the clock, is a cycle the driving loop tests
+	// the clock against (a sampled window's cycle floor). fastForward never
+	// jumps past it, so the loop stops at the same cycle on both paths.
+	horizon uint64
+
+	// The three event sources of the wakeup scheduler, each a timing wheel
+	// (see eventRing) sized to the farthest distance its events are
+	// scheduled ahead: completions reach up to ringSize-1 cycles (the
+	// worst-case memory latency), FLUSH detections exactly the hierarchy's
+	// L2-miss detect latency, and issueTimers — dispatched uops waiting out
+	// the front-end depth plus register-read delay until their IssueAt
+	// cycle — at most frontLatency+RegAccessLatency-1. The two short rings
+	// are fixed at construction, so they take tens of slots, not ringSize.
+	completions eventRing
+	flushAt     eventRing
+	issueTimers eventRing
 
 	// waiters holds, per physical register, the dispatched consumers still
 	// waiting for its value. writebackStage drains a register's list when
@@ -209,15 +220,22 @@ func New(cfg config.Microarch, specs []ThreadSpec, mapping []int, opts ...Option
 		btb:       branch.NewBTB(),
 		rf:        regfile.New(cfg.Params.RenameRegs),
 	}
+	maxFetchBuf := 0
 	for i, m := range cfg.Pipelines {
-		p.pipes = append(p.pipes, pipeline.NewBackend(i, m, cfg.Params.FetchWidth))
+		b := pipeline.NewBackend(i, m, cfg.Params.FetchWidth)
+		p.pipes = append(p.pipes, b)
+		maxFetchBuf = max(maxFetchBuf, b.FetchBuf.Cap())
 	}
 	p.activity.Pipes = make([]PipeActivity, len(p.pipes))
+	// A thread's replay buffer peaks at its uncommitted correct-path
+	// instructions (its ROB plus the largest fetch buffer it may be mapped
+	// to) plus the committed prefix awaiting a trim batch.
+	replayCap := cfg.Params.ROBPerThread + maxFetchBuf + trimBatch
 	for i, spec := range specs {
 		if spec.Program == nil {
 			return nil, fmt.Errorf("core: thread %d has no program", i)
 		}
-		t := newThread(i, spec, cfg.Params.ROBPerThread)
+		t := newThread(i, spec, cfg.Params.ROBPerThread, replayCap)
 		p.threads = append(p.threads, t)
 		p.ras = append(p.ras, branch.NewRAS())
 	}
@@ -240,12 +258,15 @@ func New(cfg config.Microarch, specs []ThreadSpec, mapping []int, opts ...Option
 	// would silently wrap onto earlier cycles. The completion path already
 	// guards per-event (issueOne panics); the FLUSH-detect and issue-timer
 	// distances are fixed by construction parameters, so validate them here
-	// instead of wrapping silently at run time.
-	if d := p.hier.L2DetectLatency(); d <= 0 || d >= ringSize {
-		return nil, fmt.Errorf("core: FLUSH L2-miss detect latency %d outside event ring (0, %d)", d, ringSize)
+	// instead of wrapping silently at run time, and size their rings to
+	// them below. Any reach below ringSize is accepted.
+	flushReach := p.hier.L2DetectLatency()
+	if flushReach <= 0 || flushReach >= ringSize {
+		return nil, fmt.Errorf("core: FLUSH L2-miss detect latency %d outside event ring (0, %d)", flushReach, ringSize)
 	}
-	if d := frontLatency + cfg.Params.RegAccessLatency - 1; d <= 0 || d >= ringSize {
-		return nil, fmt.Errorf("core: front-end issue delay %d outside event ring (0, %d)", d, ringSize)
+	timerReach := frontLatency + cfg.Params.RegAccessLatency - 1
+	if timerReach <= 0 || timerReach >= ringSize {
+		return nil, fmt.Errorf("core: front-end issue delay %d outside event ring (0, %d)", timerReach, ringSize)
 	}
 	p.waiters = make([][]waiter, p.rf.Size())
 	waiterBacking := make([]waiter, 4*p.rf.Size())
@@ -263,28 +284,21 @@ func New(cfg config.Microarch, specs []ThreadSpec, mapping []int, opts ...Option
 	for _, b := range p.pipes {
 		poolSize += b.FetchBuf.Cap()
 	}
-	backing := make([]pipeline.UOp, poolSize)
+	pool := make([]pipeline.UOp, poolSize)
 	p.freeUOps = make([]*pipeline.UOp, 0, poolSize)
 	for i := poolSize - 1; i >= 0; i-- {
-		p.freeUOps = append(p.freeUOps, &backing[i])
+		p.freeUOps = append(p.freeUOps, &pool[i])
 	}
 
 	// Pre-size the event-ring slots from one backing array. Per-slot
 	// occupancy usually stays in single digits; seeding capacity keeps
 	// steady-state stepping allocation-free instead of trickling growth
 	// events for the whole run as rare occupancy peaks are discovered.
-	const slotCap = 16
-	ringBacking := make([]*pipeline.UOp, 3*ringSize*slotCap)
-	next := func() []*pipeline.UOp {
-		s := ringBacking[:0:slotCap]
-		ringBacking = ringBacking[slotCap:]
-		return s
-	}
-	for i := range p.completions {
-		p.completions[i] = next()
-		p.flushAt[i] = next()
-		p.issueTimers[i] = next()
-	}
+	completionSlots, flushSlots, timerSlots := ringSize, ringSlots(flushReach), ringSlots(timerReach)
+	backing := make([]*pipeline.UOp, (completionSlots+flushSlots+timerSlots)*slotCap)
+	p.completions = newEventRing(completionSlots, &backing)
+	p.flushAt = newEventRing(flushSlots, &backing)
+	p.issueTimers = newEventRing(timerSlots, &backing)
 	return p, nil
 }
 
@@ -296,6 +310,11 @@ func (p *Processor) Policy() fetch.Policy { return p.policy }
 
 // Cycle returns the current cycle number.
 func (p *Processor) Cycle() uint64 { return p.cycle }
+
+// Stepped returns how many of the Cycle() cycles so far the stage loop ran;
+// the others were idle cycles the optimized path skipped. On the reference
+// path, which steps every cycle, it equals Cycle() for Run.
+func (p *Processor) Stepped() uint64 { return p.stepped }
 
 // Hierarchy exposes the memory subsystem (for statistics inspection).
 func (p *Processor) Hierarchy() *cache.Hierarchy { return p.hier }

@@ -367,6 +367,7 @@ func (p *Processor) sampleDetailed(sp SampleParams, pipeBacking []PipeActivity) 
 		// every measured window).
 		jitter := (p.sampleUnit * 2654435761) % rt
 		floor := p.cycle + 3*rt + jitter
+		p.horizon = floor
 		for i, t := range p.threads {
 			scratch[i] = t.committed + sp.Warm
 		}
@@ -405,6 +406,7 @@ func (p *Processor) sampleDetailed(sp SampleParams, pipeBacking []PipeActivity) 
 	// in unrepresentative fractions.
 	hp := p.hier.Params
 	windowFloor := startCycle + 2*uint64(hp.L1HitLatency+hp.L1MissPenalty+hp.L2Latency+hp.MemLatency)
+	p.horizon = windowFloor
 	disarmed := false
 	for {
 		p.step()
@@ -429,6 +431,7 @@ func (p *Processor) sampleDetailed(sp SampleParams, pipeBacking []PipeActivity) 
 		}
 	}
 	p.anyFinished = false
+	p.horizon = 0
 	p.sampleUnit++
 	var committed uint64
 	for i, t := range p.threads {
@@ -474,8 +477,8 @@ func (p *Processor) drainInflight() {
 			p.releaseUOp(u)
 		}
 	}
-	for s := 0; s < ringSize; s++ {
-		for _, u := range p.completions[s] {
+	for _, slot := range p.completions {
+		for _, u := range slot {
 			// Issued uops stay referenced only by their completion entry
 			// (squashUOp leaves them to be recycled here); flushAt entries
 			// alias completions entries and must not double-release.
@@ -484,10 +487,10 @@ func (p *Processor) drainInflight() {
 			}
 			p.releaseUOp(u)
 		}
-		p.completions[s] = p.completions[s][:0]
-		p.flushAt[s] = p.flushAt[s][:0]
-		p.issueTimers[s] = p.issueTimers[s][:0]
 	}
+	p.completions.clear()
+	p.flushAt.clear()
+	p.issueTimers.clear()
 	// The reference stepping path polls queues directly and lets readyCount
 	// drift (it is an optimized-path fast-out only), so the invariant check
 	// applies to the optimized path; after a drain the queues are empty, so

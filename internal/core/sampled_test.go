@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hdsmt/internal/config"
+	"hdsmt/internal/perf"
 )
 
 // testSampleParams is the operating point the core tests pin: 40% of each
@@ -92,6 +93,29 @@ func TestSampledEquivalenceBasket(t *testing.T) {
 	for _, tc := range cases {
 		exact, sampled := runSampledPair(t, tc.cfg, tc.mapping, 40_000, testSampleParams, tc.names...)
 		checkWithinCI(t, tc.label, exact, sampled)
+	}
+}
+
+// TestSampledSteppingEquivalence: a sampled run is the same simulation on
+// both stepping paths. Its windows end on cycle floors, so an idle skip
+// that jumped past a floor would end the window on a later cycle than the
+// reference path does; the clock's horizon stops it there.
+func TestSampledSteppingEquivalence(t *testing.T) {
+	for _, name := range perf.BasketWorkloads() {
+		cfg, names, m := basketCell(t, name)
+		var rs [2]Results
+		for i, extra := range [][]Option{nil, {WithReferenceStepping()}} {
+			p, err := New(cfg, testSpecs(t, names...), m, extra...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs[i], err = p.RunSampled(20_000, testSampleParams); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if !reflect.DeepEqual(rs[0], rs[1]) {
+			t.Errorf("%s: sampled results diverge\noptimized: %+v\nreference: %+v", name, rs[0].Sampled, rs[1].Sampled)
+		}
 	}
 }
 

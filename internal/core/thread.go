@@ -32,6 +32,7 @@ type thread struct {
 	buf     []isa.Instruction
 	bufBase uint64 // trace Seq of buf[0]
 	cursor  int    // index into buf of the next instruction to fetch
+	bufCap  int    // buf's steady-state bound, allocated at first fetch
 
 	// Fetch state.
 	pc           uint64
@@ -76,7 +77,7 @@ type ThreadStats struct {
 	Migrations   uint64 // dynamic-mapping thread migrations
 }
 
-func newThread(id int, spec ThreadSpec, robSize int) *thread {
+func newThread(id int, spec ThreadSpec, robSize, replayCap int) *thread {
 	return &thread{
 		id:     id,
 		spec:   spec,
@@ -84,6 +85,7 @@ func newThread(id int, spec ThreadSpec, robSize int) *thread {
 		stream: trace.NewStream(spec.Program, spec.Seed, spec.DataBase),
 		pc:     spec.Program.Blocks[0].Start(),
 		rob:    queue.New[*pipeline.UOp](robSize),
+		bufCap: replayCap,
 	}
 }
 
@@ -94,7 +96,11 @@ func (t *thread) nextCorrect() *isa.Instruction {
 		// Extend in place and generate directly into the new slot (one
 		// instruction copy instead of three on the replay-fill path).
 		n := len(t.buf)
-		if n == cap(t.buf) {
+		if t.buf == nil {
+			// Allocated once at its steady-state bound (see New), so a
+			// run never regrows it.
+			t.buf = make([]isa.Instruction, 1, t.bufCap)
+		} else if n == cap(t.buf) {
 			t.buf = append(t.buf, isa.Instruction{})
 		} else {
 			t.buf = t.buf[:n+1]
@@ -121,13 +127,15 @@ func (t *thread) rewindTo(seq uint64) {
 	t.cursor = int(seq - t.bufBase)
 }
 
+// trimBatch is how many committed instructions the replay buffer keeps
+// before retireTrim shifts them out. The batch keeps the buffer (ROB depth
+// + fetch buffer + batch) small, while the amortized shift stays well
+// under one entry copy per commit.
+const trimBatch = 1024
+
 // retireTrim drops committed instructions from the replay buffer. Trimming
 // is batched so the slice shift cost amortizes to O(1) per instruction.
-// The batch is sized to keep the buffer (ROB depth + batch) small enough
-// that per-run growth does not dominate the simulator's heap allocation,
-// while the amortized shift stays well under one entry copy per commit.
 func (t *thread) retireTrim(committedSeq uint64) {
-	const trimBatch = 1024
 	keepFrom := committedSeq + 1
 	if keepFrom < t.bufBase+trimBatch {
 		return
