@@ -149,8 +149,10 @@ func genPerf(p params) (any, error) {
 }
 
 // printStepped reruns each cell on the optimized path through core.New, as
-// sim.Run builds it, and prints how many of its cycles (warm-up included)
-// the stage loop stepped and how many the idle skip jumped over. want holds
+// sim.Run builds it, and prints its work counts (core.Work, warm-up
+// included): how many of its cycles the stage loop stepped and how many the
+// idle skip jumped over, the ready-list entries issue selection visited and
+// the ROB-head peeks. want holds
 // the cell's measured counts from sim.Run, which the rerun must match.
 func (b basket) printStepped(opt sim.Options, want []perfCounts) error {
 	for i, c := range b.cells {
@@ -169,9 +171,9 @@ func (b basket) printStepped(opt sim.Options, want []perfCounts) error {
 		if r.Cycles != want[i].Cycles {
 			return fmt.Errorf("%s: core.New run took %d cycles, sim.Run %d", c.w.Name, r.Cycles, want[i].Cycles)
 		}
-		stepped, total := p.Stepped(), p.Cycle()
-		fmt.Printf("perf: %-10s %8d stepped %8d skipped of %8d cycles (%.1f%% stepped)\n",
-			c.w.Name, stepped, total-stepped, total, 100*float64(stepped)/float64(total))
+		w, total := p.Work(), p.Cycle()
+		fmt.Printf("perf: %-10s %8d stepped %8d skipped of %8d cycles (%.1f%% stepped), %d ready-list visits, %d ROB-head peeks\n",
+			c.w.Name, w.Stepped, total-w.Stepped, total, 100*float64(w.Stepped)/float64(total), w.ReadyVisits, w.HeadPeeks)
 	}
 	return nil
 }

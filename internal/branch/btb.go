@@ -114,8 +114,11 @@ const rasEntries = 256
 // NewRAS builds a 256-entry return address stack.
 func NewRAS() *RAS { return &RAS{stack: make([]uint64, rasEntries)} }
 
-// Reset empties the stack.
-func (r *RAS) Reset() { r.top, r.next = 0, 0 }
+// Reset empties the stack, leaving it as NewRAS built it.
+func (r *RAS) Reset() {
+	clear(r.stack)
+	r.top, r.next = 0, 0
+}
 
 // Depth returns the number of live entries.
 func (r *RAS) Depth() int { return r.top }

@@ -62,6 +62,9 @@ func NewPredictor(threads int) *Predictor {
 // Stats returns accumulated statistics.
 func (p *Predictor) Stats() PredStats { return p.stats }
 
+// Threads returns how many threads' global histories the predictor keeps.
+func (p *Predictor) Threads() int { return len(p.global) }
+
 // Reset clears all state.
 func (p *Predictor) Reset() {
 	for i := range p.weights {
@@ -116,7 +119,8 @@ func (p *Predictor) Predict(tid int, pc uint64) bool {
 // branch at pc and advances histories, scoring correctness against the
 // predictor's own current output. Call once per resolved conditional.
 func (p *Predictor) Resolve(tid int, pc uint64, taken bool) (correct bool) {
-	return p.ResolveWith(tid, pc, taken, p.Predict(tid, pc))
+	sum := p.output(tid, pc)
+	return p.train(tid, pc, taken, sum >= 0, sum)
 }
 
 // ResolveWith trains like Resolve but scores correctness against an
@@ -124,7 +128,12 @@ func (p *Predictor) Resolve(tid int, pc uint64, taken bool) (correct bool) {
 // may differ from the current output when intervening branches trained the
 // same perceptron between fetch and resolve.
 func (p *Predictor) ResolveWith(tid int, pc uint64, taken, predicted bool) (correct bool) {
-	sum := p.output(tid, pc)
+	return p.train(tid, pc, taken, predicted, p.output(tid, pc))
+}
+
+// train scores predicted against taken, trains the perceptron at pc whose
+// current output is sum, and advances the histories.
+func (p *Predictor) train(tid int, pc uint64, taken, predicted bool, sum int32) (correct bool) {
 	correct = predicted == taken
 	p.stats.Lookups++
 	if !correct {

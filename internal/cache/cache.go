@@ -47,8 +47,12 @@ type way struct {
 // Cache is a banked set-associative cache with true-LRU replacement.
 // It models tags only (trace-driven timing simulation needs no data).
 type Cache struct {
-	cfg       Config
-	sets      [][]way
+	cfg Config
+	// ways holds every set's ways back to back: set s is
+	// ways[s*assoc : (s+1)*assoc]. One flat array spares Access the load
+	// of a per-set slice header.
+	ways      []way
+	assoc     int
 	setMask   uint64
 	bankMask  uint64
 	lineShift uint
@@ -87,17 +91,12 @@ func New(cfg Config) *Cache {
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
 	c := &Cache{
 		cfg:       cfg,
-		sets:      make([][]way, nsets),
+		ways:      make([]way, nsets*cfg.Assoc),
+		assoc:     cfg.Assoc,
 		setMask:   uint64(nsets - 1),
 		bankMask:  uint64(cfg.Banks - 1),
 		bankCycle: make([]uint64, cfg.Banks),
 		bankUsed:  make([]int, cfg.Banks),
-	}
-	// One backing array for all sets: thousands of tiny per-set
-	// allocations would otherwise dominate processor construction.
-	backing := make([]way, nsets*cfg.Assoc)
-	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
 	}
 	for ls := cfg.LineBytes; ls > 1; ls >>= 1 {
 		c.lineShift++
@@ -111,19 +110,19 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Reset clears contents and statistics.
+// Reset clears contents and statistics, leaving the cache as New built it.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = way{}
-		}
-	}
-	for i := range c.bankCycle {
-		c.bankCycle[i] = 0
-		c.bankUsed[i] = 0
-	}
+	clear(c.ways)
+	clear(c.bankCycle)
+	clear(c.bankUsed)
 	c.stamp = 0
 	c.stats = Stats{}
+}
+
+// set returns the ways of set s.
+func (c *Cache) set(s uint64) []way {
+	base := int(s) * c.assoc
+	return c.ways[base : base+c.assoc : base+c.assoc]
 }
 
 // split returns the set index and tag of addr. The full line address is used
@@ -156,7 +155,7 @@ func (c *Cache) Access(addr uint64, cycle uint64) (hit bool, extraDelay int) {
 	}
 
 	set, tag := c.split(addr)
-	ways := c.sets[set]
+	ways := c.set(set)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i].lru = c.stamp
@@ -182,7 +181,7 @@ func (c *Cache) Access(addr uint64, cycle uint64) (hit bool, extraDelay int) {
 // Probe looks up addr without modifying cache state or statistics.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.split(addr)
-	for _, w := range c.sets[set] {
+	for _, w := range c.set(set) {
 		if w.valid && w.tag == tag {
 			return true
 		}

@@ -63,23 +63,29 @@ func NewTLB(entries, pageBytes int) *TLB {
 // Stats returns a copy of the accumulated statistics.
 func (t *TLB) Stats() Stats { return t.stats }
 
-// Reset clears contents and statistics.
+// Reset clears contents and statistics, leaving the TLB as NewTLB built
+// it.
 func (t *TLB) Reset() {
-	for i := range t.entries {
-		t.entries[i] = way{}
-	}
+	clear(t.entries)
+	clear(t.prev)
+	clear(t.next)
 	t.stamp = 0
 	t.stats = Stats{}
 	t.reset()
 }
 
+// reset empties the LRU list and the page index, allocating the index on
+// first use.
 func (t *TLB) reset() {
 	size := 4
 	for size < 4*len(t.entries) {
 		size <<= 1
 	}
-	t.keys = make([]uint64, size)
-	t.vals = make([]int32, size)
+	if len(t.keys) != size {
+		t.keys = make([]uint64, size)
+		t.vals = make([]int32, size)
+	}
+	clear(t.keys)
 	for i := range t.vals {
 		t.vals[i] = -1
 	}

@@ -80,6 +80,38 @@ func TestNewValidatesEventRingBounds(t *testing.T) {
 	}
 }
 
+// TestNewRejectsCompletionBeyondEventRing: every completion pays the
+// register-read delay on top of its class's latency, so a slow register
+// file pushes the slowest load's completion past the completion ring. New
+// must reject that as an error (it used to accept it and Run panicked at
+// the first such load), and the bound must be exact: on 2M4+2M2 a load
+// takes at most 1 (address) + 3 (L1) + 300 (TLB miss) + 17 (queued behind
+// the other 17 data-cache accesses of its cycle: 6 load/store units, 12
+// commit slots) + 22 (L1 miss) + 250 (memory) = 593 cycles, so the largest
+// accepted register-access latency is ringSize-593 = 431.
+func TestNewRejectsCompletionBeyondEventRing(t *testing.T) {
+	for _, tc := range []struct {
+		lat    int
+		accept bool
+	}{{600, false}, {432, false}, {431, true}} {
+		cfg := config.MustParse("2M4+2M2")
+		cfg.Params.RegAccessLatency = tc.lat
+		p, err := New(cfg, testSpecs(t, "mcf", "twolf"), []int{0, 2})
+		if !tc.accept {
+			if err == nil {
+				t.Errorf("register access latency %d: New accepted a load completion beyond the event ring", tc.lat)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("register access latency %d: %v", tc.lat, err)
+		}
+		if _, err := p.Run(300); err != nil {
+			t.Fatalf("register access latency %d: %v", tc.lat, err)
+		}
+	}
+}
+
 // TestNewAcceptsLargestEventRingReach shows that sizing the short event
 // rings to their reach rejects nothing the (0, ringSize) bounds above
 // accept: the largest FLUSH detect latency and the largest front-end issue

@@ -276,14 +276,18 @@ func TestReplayBufferBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bound := cap(p.threads[0].buf)
+	if want := cfg.Params.ROBPerThread + cfg.Params.FetchWidth + trimBatch; bound != want {
+		t.Errorf("replay buffer allocated at %d entries, want ROB + fetch latch + trim batch = %d", bound, want)
+	}
 	if _, err := p.Run(30_000); err != nil {
 		t.Fatal(err)
 	}
 	// The replay buffer must not grow unboundedly: it holds at most the
 	// uncommitted window plus the trim batch, the bound it is allocated at
-	// on first fetch, so it never regrows.
-	if th := p.threads[0]; cap(th.buf) != th.bufCap {
-		t.Errorf("replay buffer grew to %d entries past its bound %d", cap(th.buf), th.bufCap)
+	// by New, so it never regrows.
+	if th := p.threads[0]; cap(th.buf) != bound {
+		t.Errorf("replay buffer grew to %d entries past its bound %d", cap(th.buf), bound)
 	}
 }
 

@@ -73,7 +73,7 @@ func (p *Processor) step() {
 		p.fastForward()
 	}
 	p.cycle++
-	p.stepped++
+	p.work.Stepped++
 	p.stats.Cycles = p.cycle
 	p.maybeRemap()
 	p.commitStage()
@@ -89,7 +89,8 @@ func (p *Processor) step() {
 //   - no issue-queue ready list has an entry (nothing to issue),
 //   - no unfinished thread's ROB head has completed (nothing to commit;
 //     completed uops queued behind an unfinished head, typically the
-//     younger work behind a load missing to memory, wait for the head),
+//     younger work behind a load missing to memory, wait for the head;
+//     a thread whose head is flagged busy is not peeked again),
 //   - no pipeline can dispatch: its fetch buffer is empty, or the head is
 //     provably blocked — owning thread's ROB full, target queue full, or
 //     the shared register file exhausted,
@@ -110,15 +111,16 @@ func (p *Processor) step() {
 func (p *Processor) fastForward() {
 	// Fast fail for busy cycles: anything issuable means next cycle has
 	// work, and so does a completed ROB head. A thread with no completed
-	// uop at all (doneUops == 0) cannot have one, sparing the ROB peek.
+	// uop at all (doneUops == 0), or whose head is known busy, cannot have
+	// one, sparing the ROB peek.
 	if p.readyCount != 0 {
 		return
 	}
 	for _, t := range p.threads {
-		if t.doneUops == 0 || t.finished {
+		if t.doneUops == 0 || t.finished || t.headBusy {
 			continue
 		}
-		if u, ok := t.rob.Head(); ok && u.Stage == pipeline.StageDone {
+		if p.doneHead(t) != nil {
 			return // commit retires it next cycle
 		}
 	}
@@ -203,12 +205,12 @@ func (p *Processor) commitStage() {
 				idx -= n
 			}
 			t := p.threads[b.Threads[idx]]
-			if !p.reference && t.doneUops == 0 {
+			if !p.reference && (t.doneUops == 0 || t.headBusy) {
 				continue // ROB head cannot be completed
 			}
 			for bw > 0 && !t.finished {
-				u, ok := t.rob.Head()
-				if !ok || u.Stage != pipeline.StageDone {
+				u := p.doneHead(t)
+				if u == nil {
 					break
 				}
 				p.commitOne(t, u)
@@ -216,6 +218,19 @@ func (p *Processor) commitStage() {
 			}
 		}
 	}
+}
+
+// doneHead returns t's ROB head when it has completed, else nil. A failed
+// peek flags the head busy; the flag clears when the head completes
+// (writebackStage) or the ROB is emptied (squashAllOf), so until then the
+// optimized path skips the thread without peeking again.
+func (p *Processor) doneHead(t *thread) *pipeline.UOp {
+	p.work.HeadPeeks++
+	if u, ok := t.rob.Head(); ok && u.Stage == pipeline.StageDone {
+		return u
+	}
+	t.headBusy = true
+	return nil
 }
 
 func (p *Processor) commitOne(t *thread, u *pipeline.UOp) {
@@ -283,6 +298,12 @@ func (p *Processor) writebackStage() {
 		p.doneCount++
 		t := p.threads[u.Thread]
 		t.doneUops++
+		if t.headBusy {
+			p.work.HeadPeeks++
+			if h, _ := t.rob.Head(); h == u {
+				t.headBusy = false // the busy head completed
+			}
+		}
 		if u.DestPhys != regfile.None {
 			p.activity.RegWrites++
 			p.wakeReg(u.DestPhys)
@@ -520,6 +541,14 @@ func (p *Processor) releaseUOp(u *pipeline.UOp) {
 // dispatch stamp, so selection is identical to the reference oldest-first
 // scan of every entry. Entries that lose a functional-unit race stay on
 // the list and retry next cycle, exactly as the polling scan would.
+//
+// The scan of a ready list stops at its first functional-unit refusal.
+// Every class a queue holds needs the queue's one unit kind (isa.UnitFor
+// agrees with isa.QueueFor), and within a cycle a kind's free units only
+// fall, so every later entry would be refused too — the reference scan,
+// which visits them, issues none of them. The one class that needs no unit,
+// Nop, never reaches a queue: trace programs reject it (Program.Validate).
+// The entries issued are thus a prefix of the list.
 func (p *Processor) issueStage() {
 	c := p.cycle
 	// Fire the front-end delay timers due this cycle. Ring entries are
@@ -541,35 +570,35 @@ func (p *Processor) issueStage() {
 	}
 
 	extraRF := uint64(p.cfg.Params.RegAccessLatency - 1)
-	issued := p.issuedScratch[:0]
 	for _, b := range p.pipes {
+		if len(b.Threads) == 0 {
+			continue // a pipeline without threads holds no uops
+		}
 		budget := b.Model.Width
 		for _, q := range b.Queues {
 			if budget == 0 {
 				break
 			}
-			if q.ReadyLen() == 0 {
-				continue
-			}
-			issued = issued[:0]
-			for _, u := range q.Ready() {
-				if budget == 0 {
-					break
-				}
+			// Issuing wakes no one (results are written back later), so
+			// the list is stable until the issued prefix is removed.
+			ready := q.Ready()
+			n := 0
+			for n < len(ready) && budget > 0 {
+				u := ready[n]
+				p.work.ReadyVisits++
 				if !b.Units.TryIssue(u.Inst.Class, c) {
-					continue
+					break // no later entry can get a unit this cycle
 				}
 				p.issueOne(u, c, extraRF)
-				issued = append(issued, u)
+				n++
 				budget--
 			}
-			for _, u := range issued {
+			for _, u := range ready[:n] {
 				p.readyCount--
 				q.Remove(u)
 			}
 		}
 	}
-	p.issuedScratch = issued[:0]
 }
 
 // issueScanAll is the reference issue selection: poll every queue entry,
@@ -578,35 +607,69 @@ func (p *Processor) issueStage() {
 // equivalence tests compare full runs under both.
 func (p *Processor) issueScanAll(c uint64) {
 	extraRF := uint64(p.cfg.Params.RegAccessLatency - 1)
-	issued := p.issuedScratch[:0]
 	for _, b := range p.pipes {
 		budget := b.Model.Width
 		for _, q := range b.Queues {
 			if budget == 0 {
 				break
 			}
-			issued = issued[:0]
-			q.Do(func(u *pipeline.UOp) bool {
-				if budget == 0 {
-					return false
+			budget = p.pollQueue(b, q, c, extraRF, budget)
+		}
+	}
+}
+
+// pollQueue offers q's entries, oldest-first, to issue until budget runs
+// out, and returns the budget left. A queue's entries are the dispatched
+// uops of its class in the reorder buffers of b's threads: every
+// dispatched uop sits in both its queue and its thread's ROB until it
+// issues or is squashed, and its thread stays on its pipeline meanwhile
+// (a migration squashes everything first). Each ROB holds its thread's
+// uops in dispatch order, so merging b's ROBs by DispatchSeq visits the
+// entries in dispatch order — the queue's own order.
+func (p *Processor) pollQueue(b *pipeline.Backend, q *pipeline.IssueQueue, c, extraRF uint64, budget int) int {
+	// next[k] is the ROB position the merge has reached in b.Threads[k].
+	next := p.pollScratch[:0]
+	for range b.Threads {
+		next = append(next, 0)
+	}
+	p.pollScratch = next
+	for left := q.Len(); left > 0 && budget > 0; left-- {
+		u := p.nextEntry(b, q, next)
+		if u == nil {
+			panic(fmt.Sprintf("core: %v of pipeline %d holds %d entries its threads' ROBs do not", q.Kind(), b.Index, left))
+		}
+		p.work.ReadyVisits++
+		if u.IssueAt > c || !u.Ready(p.rf) || !b.Units.TryIssue(u.Inst.Class, c) {
+			continue
+		}
+		p.issueOne(u, c, extraRF)
+		q.Remove(u)
+		budget--
+	}
+	return budget
+}
+
+// nextEntry returns the oldest of q's entries the merge has not yet
+// passed, or nil when none is left, and moves the merge past it. next[k]
+// is the merge's position in the ROB of b.Threads[k], starting at 0.
+func (p *Processor) nextEntry(b *pipeline.Backend, q *pipeline.IssueQueue, next []int) *pipeline.UOp {
+	var u *pipeline.UOp
+	pick := -1
+	for k, tid := range b.Threads {
+		rob := p.threads[tid].rob
+		for ; next[k] < rob.Len(); next[k]++ {
+			if v := rob.At(next[k]); v.Stage == pipeline.StageDispatched && b.QueueFor(v.Inst.Class) == q {
+				if u == nil || v.DispatchSeq < u.DispatchSeq {
+					u, pick = v, k
 				}
-				if u.IssueAt > c || !u.Ready(p.rf) {
-					return true
-				}
-				if !b.Units.TryIssue(u.Inst.Class, c) {
-					return true
-				}
-				p.issueOne(u, c, extraRF)
-				issued = append(issued, u)
-				budget--
-				return true
-			})
-			for _, u := range issued {
-				q.Remove(u)
+				break
 			}
 		}
 	}
-	p.issuedScratch = issued[:0]
+	if u != nil {
+		next[pick]++
+	}
+	return u
 }
 
 func (p *Processor) issueOne(u *pipeline.UOp, c, extraRF uint64) {

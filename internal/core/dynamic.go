@@ -131,6 +131,7 @@ func (p *Processor) squashAllOf(t *thread) {
 		t.rob.PopTail()
 		p.squashUOp(t, u)
 	}
+	t.headBusy = false
 	b := p.pipes[t.pipe]
 	b.FetchBuf.Do(func(i int, u *pipeline.UOp) bool {
 		if u.Thread == t.id && u.Stage == pipeline.StageFetched {

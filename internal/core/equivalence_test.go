@@ -9,6 +9,7 @@ import (
 	"hdsmt/internal/config"
 	"hdsmt/internal/fetch"
 	"hdsmt/internal/perf"
+	"hdsmt/internal/pipeline"
 )
 
 // runBoth runs the same simulation twice — once on the optimized stepping
@@ -183,4 +184,173 @@ func TestSteppingEquivalenceDynamicRemap(t *testing.T) {
 	if !reflect.DeepEqual(opt, ref) {
 		t.Errorf("dynamic remap: results diverge\noptimized: %+v\nreference: %+v", opt, ref)
 	}
+}
+
+// TestReferenceSelectionOrder checks the reference selection's view of the
+// issue queues at every cycle of runs that share pipelines between threads:
+// merging a pipeline's ROBs by DispatchSeq must yield exactly as many
+// entries as each queue holds, each a dispatched uop of the queue's class,
+// in strictly ascending dispatch order (the queue's own order), with the
+// queue's ready list a subsequence of them.
+func TestReferenceSelectionOrder(t *testing.T) {
+	for _, tc := range []struct {
+		cfg     string
+		mapping []int
+		names   []string
+		opts    []Option
+	}{
+		{"M8", []int{0, 0, 0, 0}, []string{"gzip", "mcf", "gcc", "twolf"}, nil},
+		{"2M4", []int{0, 0, 1, 1}, []string{"mcf", "twolf", "vpr", "eon"}, []Option{WithReferenceStepping()}},
+	} {
+		p, err := New(config.MustParse(tc.cfg), testSpecs(t, tc.names...), tc.mapping, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for cycle := 0; cycle < 4_000; cycle++ {
+			p.step()
+			for _, b := range p.pipes {
+				for _, q := range b.Queues {
+					next := make([]int, len(b.Threads))
+					ready := q.Ready()
+					var prev *pipeline.UOp
+					n := 0
+					for u := p.nextEntry(b, q, next); u != nil; u = p.nextEntry(b, q, next) {
+						if u.Stage != pipeline.StageDispatched || b.QueueFor(u.Inst.Class) != q {
+							t.Fatalf("%s cycle %d: %v entry in stage %v, class %v", tc.cfg, p.cycle, q.Kind(), u.Stage, u.Inst.Class)
+						}
+						if prev != nil && u.DispatchSeq <= prev.DispatchSeq {
+							t.Fatalf("%s cycle %d: %v entries out of dispatch order (%d after %d)", tc.cfg, p.cycle, q.Kind(), u.DispatchSeq, prev.DispatchSeq)
+						}
+						if len(ready) > 0 && ready[0] == u {
+							ready = ready[1:]
+						}
+						prev = u
+						n++
+					}
+					if n != q.Len() {
+						t.Fatalf("%s cycle %d: merge found %d %v entries, the queue holds %d", tc.cfg, p.cycle, n, q.Kind(), q.Len())
+					}
+					if len(ready) != 0 {
+						t.Fatalf("%s cycle %d: %d %v ready-list entries missing from the merge or out of order", tc.cfg, p.cycle, len(ready), q.Kind())
+					}
+					checked += n
+				}
+			}
+		}
+		if checked == 0 {
+			t.Errorf("%s: no queue entry was ever checked", tc.cfg)
+		}
+	}
+}
+
+// fuzzCase is one simulation FuzzEquivalence runs on both stepping paths.
+type fuzzCase struct {
+	cfg     config.Microarch
+	names   []string
+	mapping []int
+	budget  uint64
+	opts    []Option
+}
+
+// Fuzzing draws from these machines and benchmarks.
+var (
+	fuzzConfigs = []string{"M8", "2M4", "4M2", "2M4+2M2", "1M6+2M4+2M2", "3M4+2M2"}
+	fuzzBenches = []string{"gzip", "vpr", "gcc", "mcf", "crafty", "parser", "eon", "perlbmk", "gap", "vortex", "bzip2", "twolf"}
+)
+
+// decodeFuzzCase turns FuzzEquivalence's inputs into a simulation: machine
+// fuzzConfigs[cfgSel], 1+threads%4 threads (at most the machine's
+// contexts), thread i running fuzzBenches[benchSel>>4i & 15] on pipeline
+// mapSel>>4i & 15 (both modulo their range; a full pipeline passes the
+// thread to the next one with a free context), a budget of 200..8000 and a
+// warm-up of 0..2000 instructions, policySel picking the default, ICOUNT,
+// FLUSH or L1MCOUNT, and slow bit 0 a 40-cycle register file, bit 1 a
+// hierarchy whose FLUSH detection lies 500 cycles out.
+func decodeFuzzCase(cfgSel, threads uint8, benchSel, mapSel uint64, budget, warmup uint16, policySel, slow uint8) fuzzCase {
+	cfg := config.MustParse(fuzzConfigs[int(cfgSel)%len(fuzzConfigs)])
+	n := 1 + int(threads%4)
+	if c := cfg.ForThreads(n).TotalContexts(); n > c {
+		n = c
+	}
+	fc := fuzzCase{cfg: cfg, budget: 200 + uint64(budget)%7801}
+	pipelines := cfg.ForThreads(n).Pipelines
+	used := make([]int, len(pipelines))
+	for i := 0; i < n; i++ {
+		fc.names = append(fc.names, fuzzBenches[int(benchSel>>(4*i)&15)%len(fuzzBenches)])
+		pipe := int(mapSel>>(4*i)&15) % len(used)
+		for used[pipe] == pipelines[pipe].Contexts {
+			pipe = (pipe + 1) % len(used)
+		}
+		used[pipe]++
+		fc.mapping = append(fc.mapping, pipe)
+	}
+	if w := uint64(warmup) % 2001; w > 0 {
+		fc.opts = append(fc.opts, WithWarmup(w))
+	}
+	switch policySel % 4 {
+	case 1:
+		fc.opts = append(fc.opts, WithPolicy(fetch.ICount{}))
+	case 2:
+		fc.opts = append(fc.opts, WithPolicy(fetch.Flush{}))
+	case 3:
+		fc.opts = append(fc.opts, WithPolicy(fetch.L1MCount{}))
+	}
+	if slow&1 != 0 {
+		fc.cfg.Params.RegAccessLatency = 40
+	}
+	if slow&2 != 0 {
+		hp := cache.DefaultParams()
+		hp.L1MissPenalty = 485
+		hp.TLBMissCycles = 100
+		fc.opts = append(fc.opts, func(pr *Processor) {
+			WithHierarchy(cache.NewHierarchyWith(hp, cache.DefaultL1I(), cache.DefaultL1D(), cache.DefaultL2()))(pr)
+		})
+	}
+	return fc
+}
+
+// FuzzEquivalence draws a machine, workload, mapping, budget, warm-up and
+// fetch policy from its inputs (see decodeFuzzCase) and requires the
+// optimized and reference stepping paths to report identical Results and
+// Stats. The seed corpus holds TestSteppingEquivalence's cases.
+func FuzzEquivalence(f *testing.F) {
+	bench := func(names ...string) (sel uint64) {
+		for i, name := range names {
+			for k, b := range fuzzBenches {
+				if b == name {
+					sel |= uint64(k) << (4 * i)
+				}
+			}
+		}
+		return sel
+	}
+	pipes := func(mapping ...int) (sel uint64) {
+		for i, pipe := range mapping {
+			sel |= uint64(pipe) << (4 * i)
+		}
+		return sel
+	}
+	_, memNames, memMap := basketCell(f, "2W4")
+	// cfg, threads-1, benchmarks, mapping, budget-200, warm-up, policy, slow.
+	f.Add(uint8(0), uint8(1), bench("gzip", "mcf"), pipes(0, 0), uint16(5_800), uint16(0), uint8(0), uint8(0))
+	f.Add(uint8(0), uint8(0), bench("mcf"), pipes(0), uint16(5_800), uint16(0), uint8(0), uint8(0))
+	f.Add(uint8(3), uint8(3), bench("gzip", "mcf", "gcc", "twolf"), pipes(0, 1, 2, 3), uint16(5_800), uint16(0), uint8(0), uint8(0))
+	f.Add(uint8(0), uint8(1), bench("mcf", "twolf"), pipes(0, 0), uint16(5_800), uint16(0), uint8(1), uint8(0))
+	f.Add(uint8(3), uint8(1), bench("crafty", "gap"), pipes(0, 2), uint16(5_800), uint16(2_000), uint8(0), uint8(0))
+	f.Add(uint8(4), uint8(2), bench("gcc", "vpr", "eon"), pipes(0, 1, 2), uint16(5_800), uint16(0), uint8(0), uint8(0))
+	f.Add(uint8(3), uint8(1), bench(memNames...), pipes(memMap...), uint16(perf.BasketBudget-200), uint16(perf.BasketWarmup), uint8(0), uint8(0))
+	f.Add(uint8(0), uint8(1), bench("gzip", "mcf"), pipes(0, 0), uint16(5_800), uint16(0), uint8(0), uint8(3))
+	f.Fuzz(func(t *testing.T, cfgSel, threads uint8, benchSel, mapSel uint64, budget, warmup uint16, policySel, slow uint8) {
+		fc := decodeFuzzCase(cfgSel, threads, benchSel, mapSel, budget, warmup, policySel, slow)
+		opt, ref, optStats, refStats := runBoth(t, fc.cfg, fc.mapping, fc.budget, fc.opts, fc.names...)
+		if !reflect.DeepEqual(opt, ref) {
+			t.Errorf("%s %v map %v budget %d: results diverge\noptimized: %+v\nreference: %+v",
+				fc.cfg.Name, fc.names, fc.mapping, fc.budget, opt, ref)
+		}
+		if optStats != refStats {
+			t.Errorf("%s %v map %v budget %d: global stats diverge\noptimized: %+v\nreference: %+v",
+				fc.cfg.Name, fc.names, fc.mapping, fc.budget, optStats, refStats)
+		}
+	})
 }

@@ -32,20 +32,22 @@ type Processor struct {
 	// flushMech enables the FLUSH mechanism (baseline configuration).
 	flushMech bool
 
-	hier  *cache.Hierarchy
-	pred  *branch.Predictor
-	btb   *branch.BTB
-	ras   []*branch.RAS
-	rf    *regfile.File
-	pipes []*pipeline.Backend
+	hier *cache.Hierarchy
+	// ownHier is the default hierarchy the processor built for itself;
+	// it stays here for Renew to reuse even when WithHierarchy installed
+	// another one as hier.
+	ownHier *cache.Hierarchy
+	pred    *branch.Predictor
+	btb     *branch.BTB
+	ras     []*branch.RAS
+	rf      *regfile.File
+	pipes   []*pipeline.Backend
 
 	threads []*thread
 
 	cycle uint64
-	// stepped counts the cycles the stage loop actually ran; the rest of
-	// the clock was skipped by fastForward. Kept out of Stats, which both
-	// stepping paths must report identically.
-	stepped uint64
+	// work counts the stage loop's host-side work (see Work).
+	work Work
 	// horizon, when ahead of the clock, is a cycle the driving loop tests
 	// the clock against (a sampled window's cycle floor). fastForward never
 	// jumps past it, so the loop stops at the same cycle on both paths.
@@ -53,8 +55,9 @@ type Processor struct {
 
 	// The three event sources of the wakeup scheduler, each a timing wheel
 	// (see eventRing) sized to the farthest distance its events are
-	// scheduled ahead: completions reach up to ringSize-1 cycles (the
-	// worst-case memory latency), FLUSH detections exactly the hierarchy's
+	// scheduled ahead: completions reach up to ringSize-1 cycles (New
+	// bounds the worst completion latency by it), FLUSH detections exactly
+	// the hierarchy's
 	// L2-miss detect latency, and issueTimers — dispatched uops waiting out
 	// the front-end depth plus register-read delay until their IssueAt
 	// cycle — at most frontLatency+RegAccessLatency-1. The two short rings
@@ -90,8 +93,10 @@ type Processor struct {
 	reference bool
 
 	// freeUOps recycles retired/squashed uop records (never ones that a
-	// pending event ring entry may still reference).
+	// pending event ring entry may still reference). uopPool is the
+	// contiguous array the pool is pre-warmed from.
 	freeUOps []*pipeline.UOp
+	uopPool  []pipeline.UOp
 
 	// commitHook, when set, observes every architecturally retired
 	// instruction in commit order (used by validation tests).
@@ -103,11 +108,11 @@ type Processor struct {
 	migrations    uint64
 
 	// Scratch reused across cycles to avoid per-cycle allocation.
-	orderScratch  []int
-	stateScratch  []fetch.ThreadState
-	issuedScratch []*pipeline.UOp
-	remapMisses   []uint64
-	remapPipes    []int
+	orderScratch []int
+	stateScratch []fetch.ThreadState
+	pollScratch  []int
+	remapMisses  []uint64
+	remapPipes   []int
 
 	// Warm-up: instructions each thread retires before measurement starts.
 	warmup       uint64
@@ -199,6 +204,19 @@ func WithPolicy(p fetch.Policy) Option {
 // pipeline context capacities (see package mapping for policies that
 // produce valid mappings).
 func New(cfg config.Microarch, specs []ThreadSpec, mapping []int, opts ...Option) (*Processor, error) {
+	return Renew(nil, cfg, specs, mapping, opts...)
+}
+
+// Renew builds the processor New(cfg, specs, mapping, opts...) builds,
+// reusing the storage of old, a processor whose run is over, wherever its
+// shape matches: the cache hierarchy and TLBs, predictor, BTB and return
+// stacks, register file, back ends, ROBs, replay buffers, uop pool, waiter
+// lists and event rings. Each reused component is reset to exactly the
+// state New builds it in, so the processor simulates as a new one would,
+// and nothing a Results of old's run holds is reused. Renew takes old over
+// whether or not it succeeds: the caller must not use old, or storage it
+// exposed (its Hierarchy, its Predictor), again. A nil old reuses nothing.
+func Renew(old *Processor, cfg config.Microarch, specs []ThreadSpec, mapping []int, opts ...Option) (*Processor, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: no threads")
 	}
@@ -210,34 +228,66 @@ func New(cfg config.Microarch, specs []ThreadSpec, mapping []int, opts ...Option
 		return nil, fmt.Errorf("core: %s has %d contexts for %d threads",
 			cfg.Name, cfg.TotalContexts(), len(specs))
 	}
-
-	p := &Processor{
-		cfg:       cfg,
-		policy:    fetch.ForConfig(cfg.Monolithic),
-		flushMech: cfg.Monolithic,
-		hier:      cache.NewHierarchy(),
-		pred:      branch.NewPredictor(len(specs)),
-		btb:       branch.NewBTB(),
-		rf:        regfile.New(cfg.Params.RenameRegs),
+	for i, spec := range specs {
+		if spec.Program == nil {
+			return nil, fmt.Errorf("core: thread %d has no program", i)
+		}
 	}
+
+	p := old
+	if p == nil {
+		p = new(Processor)
+	}
+	prev := *p
+	*p = Processor{
+		cfg:          cfg,
+		policy:       fetch.ForConfig(cfg.Monolithic),
+		flushMech:    cfg.Monolithic,
+		ownHier:      renewHierarchy(prev.ownHier),
+		pred:         renewPredictor(prev.pred, len(specs)),
+		btb:          renewBTB(prev.btb),
+		rf:           renewRegFile(prev.rf, cfg.Params.RenameRegs),
+		pipes:        prev.pipes[:0],
+		threads:      prev.threads[:0],
+		ras:          prev.ras[:0],
+		orderScratch: prev.orderScratch[:0],
+		stateScratch: prev.stateScratch[:0],
+		pollScratch:  prev.pollScratch[:0],
+		remapMisses:  prev.remapMisses[:0],
+		remapPipes:   prev.remapPipes[:0],
+		baseThread:   prev.baseThread[:0],
+	}
+	p.hier = p.ownHier
 	maxFetchBuf := 0
 	for i, m := range cfg.Pipelines {
-		b := pipeline.NewBackend(i, m, cfg.Params.FetchWidth)
+		var b *pipeline.Backend
+		if i < len(prev.pipes) {
+			b = prev.pipes[i]
+		}
+		b = pipeline.RenewBackend(b, i, m, cfg.Params.FetchWidth)
 		p.pipes = append(p.pipes, b)
 		maxFetchBuf = max(maxFetchBuf, b.FetchBuf.Cap())
 	}
-	p.activity.Pipes = make([]PipeActivity, len(p.pipes))
+	p.activity.Pipes = prev.activity.Pipes[:0]
+	p.activity.Pipes = append(p.activity.Pipes, make([]PipeActivity, len(p.pipes))...)
 	// A thread's replay buffer peaks at its uncommitted correct-path
 	// instructions (its ROB plus the largest fetch buffer it may be mapped
 	// to) plus the committed prefix awaiting a trim batch.
 	replayCap := cfg.Params.ROBPerThread + maxFetchBuf + trimBatch
 	for i, spec := range specs {
-		if spec.Program == nil {
-			return nil, fmt.Errorf("core: thread %d has no program", i)
+		var (
+			t   *thread
+			ras *branch.RAS
+		)
+		if i < len(prev.threads) {
+			t, ras = prev.threads[i], prev.ras[i]
+			ras.Reset()
+		} else {
+			t, ras = new(thread), branch.NewRAS()
 		}
-		t := newThread(i, spec, cfg.Params.ROBPerThread, replayCap)
+		t.reset(i, spec, cfg.Params.ROBPerThread, replayCap)
 		p.threads = append(p.threads, t)
-		p.ras = append(p.ras, branch.NewRAS())
+		p.ras = append(p.ras, ras)
 	}
 	for i, pipe := range mapping {
 		if pipe < 0 || pipe >= len(p.pipes) {
@@ -255,11 +305,12 @@ func New(cfg config.Microarch, specs []ThreadSpec, mapping []int, opts ...Option
 	}
 
 	// The event rings must out-span every schedulable distance, or slots
-	// would silently wrap onto earlier cycles. The completion path already
-	// guards per-event (issueOne panics); the FLUSH-detect and issue-timer
-	// distances are fixed by construction parameters, so validate them here
-	// instead of wrapping silently at run time, and size their rings to
-	// them below. Any reach below ringSize is accepted.
+	// would silently wrap onto earlier cycles. The FLUSH-detect and
+	// issue-timer distances are fixed by construction parameters, and the
+	// completion distance is bounded by them and the threads' programs, so
+	// validate all three here instead of wrapping (or, for completions,
+	// panicking in issueOne) at run time; the two short rings are sized to
+	// their reach below. Any reach below ringSize is accepted.
 	flushReach := p.hier.L2DetectLatency()
 	if flushReach <= 0 || flushReach >= ringSize {
 		return nil, fmt.Errorf("core: FLUSH L2-miss detect latency %d outside event ring (0, %d)", flushReach, ringSize)
@@ -268,10 +319,24 @@ func New(cfg config.Microarch, specs []ThreadSpec, mapping []int, opts ...Option
 	if timerReach <= 0 || timerReach >= ringSize {
 		return nil, fmt.Errorf("core: front-end issue delay %d outside event ring (0, %d)", timerReach, ringSize)
 	}
-	p.waiters = make([][]waiter, p.rf.Size())
-	waiterBacking := make([]waiter, 4*p.rf.Size())
-	for i := range p.waiters {
-		p.waiters[i] = waiterBacking[i*4 : i*4 : (i+1)*4]
+	if class, lat := p.worstCompletion(specs); lat >= ringSize {
+		return nil, fmt.Errorf("core: %v completion latency up to %d (register read included) outside event ring (0, %d)",
+			class, lat, ringSize)
+	}
+
+	// Waiter lists start with a few slots each, carved from one backing
+	// array; reused lists are emptied, keeping whatever they grew to.
+	if n := p.rf.Size(); len(prev.waiters) == n {
+		p.waiters = prev.waiters
+		for i := range p.waiters {
+			p.waiters[i] = p.waiters[i][:0]
+		}
+	} else {
+		p.waiters = make([][]waiter, n)
+		backing := make([]waiter, 4*n)
+		for i := range p.waiters {
+			p.waiters[i] = backing[i*4 : i*4 : (i+1)*4]
+		}
 	}
 
 	// Pre-warm the uop pool from one contiguous backing array sized to the
@@ -284,22 +349,113 @@ func New(cfg config.Microarch, specs []ThreadSpec, mapping []int, opts ...Option
 	for _, b := range p.pipes {
 		poolSize += b.FetchBuf.Cap()
 	}
-	pool := make([]pipeline.UOp, poolSize)
-	p.freeUOps = make([]*pipeline.UOp, 0, poolSize)
+	if cap(prev.uopPool) >= poolSize {
+		p.uopPool = prev.uopPool[:poolSize]
+		clear(p.uopPool)
+	} else {
+		p.uopPool = make([]pipeline.UOp, poolSize)
+	}
+	p.freeUOps = prev.freeUOps[:0]
 	for i := poolSize - 1; i >= 0; i-- {
-		p.freeUOps = append(p.freeUOps, &pool[i])
+		p.freeUOps = append(p.freeUOps, &p.uopPool[i])
 	}
 
 	// Pre-size the event-ring slots from one backing array. Per-slot
 	// occupancy usually stays in single digits; seeding capacity keeps
 	// steady-state stepping allocation-free instead of trickling growth
 	// events for the whole run as rare occupancy peaks are discovered.
+	// Rings of the same lengths are reused emptied, their slots keeping
+	// whatever capacity they grew to.
 	completionSlots, flushSlots, timerSlots := ringSize, ringSlots(flushReach), ringSlots(timerReach)
-	backing := make([]*pipeline.UOp, (completionSlots+flushSlots+timerSlots)*slotCap)
-	p.completions = newEventRing(completionSlots, &backing)
-	p.flushAt = newEventRing(flushSlots, &backing)
-	p.issueTimers = newEventRing(timerSlots, &backing)
+	if len(prev.completions) == completionSlots && len(prev.flushAt) == flushSlots && len(prev.issueTimers) == timerSlots {
+		p.completions, p.flushAt, p.issueTimers = prev.completions, prev.flushAt, prev.issueTimers
+		p.completions.clear()
+		p.flushAt.clear()
+		p.issueTimers.clear()
+	} else {
+		backing := make([]*pipeline.UOp, (completionSlots+flushSlots+timerSlots)*slotCap)
+		p.completions = newEventRing(completionSlots, &backing)
+		p.flushAt = newEventRing(flushSlots, &backing)
+		p.issueTimers = newEventRing(timerSlots, &backing)
+	}
 	return p, nil
+}
+
+// renewHierarchy returns the default (paper Table 1) memory hierarchy:
+// old, reset, when there is one.
+func renewHierarchy(old *cache.Hierarchy) *cache.Hierarchy {
+	if old == nil {
+		return cache.NewHierarchy()
+	}
+	old.Reset()
+	old.Params = cache.DefaultParams()
+	return old
+}
+
+// renewPredictor returns a new predictor for the given thread count: old,
+// reset, when it has that many threads.
+func renewPredictor(old *branch.Predictor, threads int) *branch.Predictor {
+	if old == nil || old.Threads() != threads {
+		return branch.NewPredictor(threads)
+	}
+	old.Reset()
+	return old
+}
+
+// renewBTB returns a new BTB: old, reset, when there is one.
+func renewBTB(old *branch.BTB) *branch.BTB {
+	if old == nil {
+		return branch.NewBTB()
+	}
+	old.Reset()
+	return old
+}
+
+// renewRegFile returns a new register file of n registers: old, reset,
+// when it has that many.
+func renewRegFile(old *regfile.File, n int) *regfile.File {
+	if old == nil || old.Size() != n {
+		return regfile.New(n)
+	}
+	old.Reset()
+	return old
+}
+
+// worstCompletion returns the instruction class, among those the threads'
+// programs hold, with the longest issue-to-completion distance, and that
+// distance: the class's execution latency, plus for loads the slowest
+// hierarchy access, plus the register-read delay every completion pays.
+// The slowest load hits a TLB miss, misses the L1 and the L2, and queues
+// behind every other data-cache access of its cycle: a bank serves one
+// access per cycle, and a cycle's accesses are at most the loads the
+// pipelines' load/store units issue plus the stores their commit
+// bandwidth retires.
+func (p *Processor) worstCompletion(specs []ThreadSpec) (isa.Class, int) {
+	hp := p.hier.Params
+	accesses := 0
+	for _, m := range p.cfg.Pipelines {
+		accesses += m.LdStUnits + m.Width
+	}
+	worstLoad := hp.L1HitLatency + hp.TLBMissCycles + (accesses - 1) + hp.L1MissPenalty + hp.MemLatency
+	var worst isa.Class
+	lat := -1
+	for c := isa.Class(0); int(c) < isa.NumClasses; c++ {
+		present := false
+		for _, spec := range specs {
+			present = present || spec.Program.Has(c)
+		}
+		if !present {
+			continue
+		}
+		l := isa.Latency(c)
+		if c.IsLoad() {
+			l += worstLoad
+		}
+		if l > lat {
+			worst, lat = c, l
+		}
+	}
+	return worst, lat + p.cfg.Params.RegAccessLatency - 1
 }
 
 // Config returns the processor's configuration.
@@ -311,10 +467,26 @@ func (p *Processor) Policy() fetch.Policy { return p.policy }
 // Cycle returns the current cycle number.
 func (p *Processor) Cycle() uint64 { return p.cycle }
 
-// Stepped returns how many of the Cycle() cycles so far the stage loop ran;
-// the others were idle cycles the optimized path skipped. On the reference
-// path, which steps every cycle, it equals Cycle() for Run.
-func (p *Processor) Stepped() uint64 { return p.stepped }
+// Work counts what the stage loop did on the host to simulate the cycles
+// so far. It is kept out of Stats, which both stepping paths must report
+// identically: these counts measure the simulator, not the simulated
+// machine, and differ between the paths.
+type Work struct {
+	// Stepped counts the cycles the stage loop ran; the others were idle
+	// cycles the optimized path skipped. On the reference path, which
+	// steps every cycle, it equals Cycle() for Run.
+	Stepped uint64
+	// ReadyVisits counts the issue-queue entries issue selection offered
+	// a functional unit or, on the reference path, polled.
+	ReadyVisits uint64
+	// HeadPeeks counts the reads of a thread's ROB head made to learn
+	// whether it has completed (by commit, the idle skip, and writeback
+	// clearing a busy-head flag).
+	HeadPeeks uint64
+}
+
+// Work returns the stage loop's work counts so far.
+func (p *Processor) Work() Work { return p.work }
 
 // Hierarchy exposes the memory subsystem (for statistics inspection).
 func (p *Processor) Hierarchy() *cache.Hierarchy { return p.hier }

@@ -33,14 +33,20 @@ func basketCell(t testing.TB, name string) (cfg config.Microarch, names []string
 	return cfg, names, m
 }
 
-// TestSteppedCyclesPinned pins the idle-cycle skip's work on the perf
-// basket: the exact number of cycles the optimized path's stage loop runs
-// per cell (warm-up included). Result-equivalence tests cannot see a
-// regression here — a weaker idle test steps more cycles to the same
-// Results — so the counts are pinned; a change that moves them should say
-// why in CHANGES.md. The reference path steps every cycle.
+// TestSteppedCyclesPinned pins the optimized path's work on the perf
+// basket: per cell (warm-up included), the cycles the stage loop runs, the
+// ready-list entries issue selection visits and the ROB-head peeks.
+// Result-equivalence tests cannot see a regression here — a weaker idle
+// test steps more cycles, and a scan that no longer stops early visits
+// more entries, to the same Results — so the counts are pinned; a change
+// that moves them should say why in CHANGES.md. The reference path steps
+// every cycle.
 func TestSteppedCyclesPinned(t *testing.T) {
-	want := map[string]uint64{"2W1": 9_376, "2W4": 16_736, "2W7": 7_934}
+	want := map[string]Work{
+		"2W1": {Stepped: 9_376, ReadyVisits: 25_986, HeadPeeks: 30_747},
+		"2W4": {Stepped: 16_736, ReadyVisits: 27_866, HeadPeeks: 40_243},
+		"2W7": {Stepped: 7_934, ReadyVisits: 25_254, HeadPeeks: 28_999},
+	}
 	for _, name := range perf.BasketWorkloads() {
 		cfg, names, m := basketCell(t, name)
 		for _, ref := range []bool{false, true} {
@@ -55,18 +61,18 @@ func TestSteppedCyclesPinned(t *testing.T) {
 			if _, err := p.Run(perf.BasketBudget); err != nil {
 				t.Fatal(err)
 			}
-			stepped, cycles := p.Stepped(), p.Cycle()
+			w, cycles := p.Work(), p.Cycle()
 			if ref {
-				if stepped != cycles {
-					t.Errorf("%s reference: stepped %d of %d cycles, want every cycle", name, stepped, cycles)
+				if w.Stepped != cycles {
+					t.Errorf("%s reference: stepped %d of %d cycles, want every cycle", name, w.Stepped, cycles)
 				}
 				continue
 			}
-			if stepped != want[name] {
-				t.Errorf("%s optimized: stepped %d cycles, pinned %d", name, stepped, want[name])
+			if w != want[name] {
+				t.Errorf("%s optimized: work %+v, pinned %+v", name, w, want[name])
 			}
-			if name == "2W4" && 3*stepped > cycles {
-				t.Errorf("%s optimized: stepped %d of %d cycles, want at most a third", name, stepped, cycles)
+			if name == "2W4" && 3*w.Stepped > cycles {
+				t.Errorf("%s optimized: stepped %d of %d cycles, want at most a third", name, w.Stepped, cycles)
 			}
 		}
 	}

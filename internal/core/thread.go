@@ -32,7 +32,6 @@ type thread struct {
 	buf     []isa.Instruction
 	bufBase uint64 // trace Seq of buf[0]
 	cursor  int    // index into buf of the next instruction to fetch
-	bufCap  int    // buf's steady-state bound, allocated at first fetch
 
 	// Fetch state.
 	pc           uint64
@@ -60,6 +59,10 @@ type thread struct {
 	committed     uint64
 	target        uint64 // finish when committed reaches this (0 = never)
 	finished      bool
+	// headBusy records that the ROB head has not completed (or the ROB is
+	// empty): set by a failed head peek, cleared when the head completes
+	// or squashAllOf empties the ROB.
+	headBusy bool
 
 	stats ThreadStats
 }
@@ -77,15 +80,34 @@ type ThreadStats struct {
 	Migrations   uint64 // dynamic-mapping thread migrations
 }
 
-func newThread(id int, spec ThreadSpec, robSize, replayCap int) *thread {
-	return &thread{
+// reset makes t a new thread id running spec, with a robSize-entry ROB and
+// a replay buffer of capacity replayCap, its steady-state bound (so a run
+// never regrows it). It reuses t's ROB when its size matches, its replay
+// buffer when large enough and its stream's storage; the zero thread
+// reuses nothing.
+func (t *thread) reset(id int, spec ThreadSpec, robSize, replayCap int) {
+	rob, buf, stream := t.rob, t.buf, t.stream
+	if rob != nil && rob.Cap() == robSize {
+		rob.Clear()
+	} else {
+		rob = queue.New[*pipeline.UOp](robSize)
+	}
+	if cap(buf) < replayCap {
+		buf = make([]isa.Instruction, 0, replayCap)
+	}
+	if stream != nil {
+		stream.Restart(spec.Program, spec.Seed, spec.DataBase)
+	} else {
+		stream = trace.NewStream(spec.Program, spec.Seed, spec.DataBase)
+	}
+	*t = thread{
 		id:     id,
 		spec:   spec,
 		pipe:   -1,
-		stream: trace.NewStream(spec.Program, spec.Seed, spec.DataBase),
+		stream: stream,
+		buf:    buf[:0],
 		pc:     spec.Program.Blocks[0].Start(),
-		rob:    queue.New[*pipeline.UOp](robSize),
-		bufCap: replayCap,
+		rob:    rob,
 	}
 }
 
@@ -96,11 +118,7 @@ func (t *thread) nextCorrect() *isa.Instruction {
 		// Extend in place and generate directly into the new slot (one
 		// instruction copy instead of three on the replay-fill path).
 		n := len(t.buf)
-		if t.buf == nil {
-			// Allocated once at its steady-state bound (see New), so a
-			// run never regrows it.
-			t.buf = make([]isa.Instruction, 1, t.bufCap)
-		} else if n == cap(t.buf) {
+		if n == cap(t.buf) {
 			t.buf = append(t.buf, isa.Instruction{})
 		} else {
 			t.buf = t.buf[:n+1]

@@ -10,24 +10,19 @@ import (
 )
 
 // IssueQueue is one private issue queue (IQ, FQ or LQ): a bounded set of
-// dispatched uops awaiting operands and a functional unit. Entries keep
-// dispatch order so the oldest ready instruction issues first.
-//
-// The slot array is index-tracked with tombstones: each entry records its
-// position in UOp.QIdx, so Remove is O(1) (nil the slot) with periodic
-// compaction amortizing to O(1) per removal while iteration order stays
-// oldest-first. Alongside the slots the queue keeps a ready list — the
-// dispatched entries whose operands are all available and whose front-end
-// delay has elapsed — ordered by DispatchSeq, which within one queue is
-// dispatch order. The core's wakeup logic moves entries onto the ready
-// list exactly when their last dependency resolves, so the per-cycle issue
-// scan touches only issuable work.
+// dispatched uops awaiting operands and a functional unit. The queue keeps
+// only what the optimized issue path reads — its occupancy, which bounds
+// dispatch, and its ready list, the dispatched entries whose operands are
+// all available and whose front-end delay has elapsed, ordered by
+// DispatchSeq (dispatch order within one queue). The core's wakeup logic
+// moves entries onto the ready list exactly when their last dependency
+// resolves, so the per-cycle issue scan touches only issuable work. The
+// entries themselves live in their threads' reorder buffers, which is
+// where the core's reference selection polls them.
 type IssueQueue struct {
-	kind  isa.Queue
-	slots []*UOp // dispatch order; nil entries are tombstones
-	n     int    // live (non-tombstone) entries
-	dead  int    // tombstones awaiting compaction
-	cap   int
+	kind isa.Queue
+	n    int // occupied entries
+	cap  int
 	// ready holds the issuable entries in ascending DispatchSeq; the live
 	// window is ready[readyHead:]. The head index makes the two dominant
 	// operations O(1): the oldest entry issuing (pop-front) and a young
@@ -50,7 +45,6 @@ func NewIssueQueue(kind isa.Queue, capacity int) *IssueQueue {
 	}
 	return &IssueQueue{
 		kind:  kind,
-		slots: make([]*UOp, 0, capacity),
 		ready: make([]*UOp, 0, capacity),
 		cap:   capacity,
 	}
@@ -71,67 +65,35 @@ func (q *IssueQueue) Full() bool { return q.n >= q.cap }
 // Stats returns accumulated statistics.
 func (q *IssueQueue) Stats() IQStats { return q.stats }
 
-// Add inserts u at the tail; it reports false (recording a stall) when full.
+// Add occupies an entry for u; it reports false (recording a stall) when
+// the queue is full.
 func (q *IssueQueue) Add(u *UOp) bool {
 	if q.Full() {
 		q.stats.FullStalls++
 		return false
 	}
-	u.QIdx = len(q.slots)
-	q.slots = append(q.slots, u)
 	q.n++
 	q.stats.Dispatches++
 	return true
 }
 
-// Remove deletes u, preserving the order of the remaining entries. The slot
-// becomes a tombstone; compaction runs once tombstones outnumber live
-// entries, so removal is O(1) amortized. A ready-list entry, if any, is
-// dropped too.
+// Remove frees u's entry (u issued or was squashed), dropping its
+// ready-list entry, if any. It panics when the queue is empty.
 func (q *IssueQueue) Remove(u *UOp) {
-	if u.QIdx < 0 || u.QIdx >= len(q.slots) || q.slots[u.QIdx] != u {
-		panic(fmt.Sprintf("pipeline: removing uop pc=%#x not in %v", u.Inst.PC, q.kind))
+	if q.n == 0 {
+		panic(fmt.Sprintf("pipeline: removing uop pc=%#x from empty %v", u.Inst.PC, q.kind))
 	}
-	q.slots[u.QIdx] = nil
-	u.QIdx = -1
 	q.n--
-	q.dead++
 	if u.InReady {
 		q.RemoveReady(u)
-	}
-	if q.dead > q.n {
-		q.compact()
-	}
-}
-
-// compact squeezes tombstones out of the slot array in place.
-func (q *IssueQueue) compact() {
-	w := 0
-	for _, s := range q.slots {
-		if s != nil {
-			s.QIdx = w
-			q.slots[w] = s
-			w++
-		}
-	}
-	q.slots = q.slots[:w]
-	q.dead = 0
-}
-
-// Do calls fn over the entries oldest-first; fn returning false stops early.
-// fn must not add or remove entries; collect removals and apply after.
-func (q *IssueQueue) Do(fn func(u *UOp) bool) {
-	for _, s := range q.slots {
-		if s != nil && !fn(s) {
-			return
-		}
 	}
 }
 
 // PushReady links u into the ready list, keeping it sorted by DispatchSeq
 // (dispatch order within a queue), so selection order matches an
-// oldest-first scan of the slots. It is a no-op when u is already linked.
-// The common case — u younger than every current entry — is an append.
+// oldest-first scan of the queue's entries. It is a no-op when u is
+// already linked. The common case — u younger than every current entry —
+// is an append.
 func (q *IssueQueue) PushReady(u *UOp) {
 	if u.InReady {
 		return
@@ -207,12 +169,11 @@ func (q *IssueQueue) Ready() []*UOp { return q.ready[q.readyHead:] }
 // ReadyLen returns the number of issuable entries.
 func (q *IssueQueue) ReadyLen() int { return len(q.ready) - q.readyHead }
 
-// Clear drops all entries.
+// Clear drops all entries and statistics, as a new queue has none.
 func (q *IssueQueue) Clear() {
-	q.slots = q.slots[:0]
 	q.ready = q.ready[:0]
-	q.n, q.dead = 0, 0
-	q.readyHead = 0
+	q.n, q.readyHead = 0, 0
+	q.stats = IQStats{}
 }
 
 // Backend is one pipeline's private back end: decoupling buffer, issue
@@ -241,9 +202,23 @@ type Backend struct {
 // NewBackend builds the back end for one pipeline. fetchWidth sizes the
 // monolithic latch when the model declares no decoupling buffer.
 func NewBackend(index int, m config.Model, fetchWidth int) *Backend {
+	return RenewBackend(nil, index, m, fetchWidth)
+}
+
+// RenewBackend returns the back end NewBackend(index, m, fetchWidth)
+// builds. When old was built for the same model and fetch width, it is
+// old itself, reset to that fresh state with no thread mapped; otherwise
+// old is left alone and a new back end is built.
+func RenewBackend(old *Backend, index int, m config.Model, fetchWidth int) *Backend {
 	bufSize := m.FetchBuf
 	if bufSize == 0 {
 		bufSize = fetchWidth
+	}
+	if old != nil && old.Model == m && old.FetchBuf.Cap() == bufSize {
+		old.Index = index
+		old.Reset()
+		old.Threads = old.Threads[:0]
+		return old
 	}
 	b := &Backend{
 		Model:    m,
@@ -286,7 +261,8 @@ func (b *Backend) AssignThread(tid int) {
 	b.Threads = append(b.Threads, tid)
 }
 
-// Reset clears all per-run state but keeps the thread mapping.
+// Reset clears all per-run state and statistics but keeps the thread
+// mapping.
 func (b *Backend) Reset() {
 	b.FetchBuf.Clear()
 	b.IQ.Clear()

@@ -190,11 +190,13 @@ func TestIssueQueueAddRemove(t *testing.T) {
 	if !q.Add(u3) {
 		t.Error("space after remove")
 	}
-	// Order preserved: u2 then u3.
-	var got []*UOp
-	q.Do(func(u *UOp) bool { got = append(got, u); return true })
-	if len(got) != 2 || got[0] != u2 || got[1] != u3 {
-		t.Error("dispatch order not preserved")
+	if q.Len() != 2 || !q.Full() {
+		t.Errorf("len %d after re-add, want 2 and full", q.Len())
+	}
+	q.Remove(u2)
+	q.Remove(u3)
+	if q.Len() != 0 {
+		t.Errorf("len %d after removing every entry", q.Len())
 	}
 }
 
@@ -206,18 +208,6 @@ func TestIssueQueueRemoveMissingPanics(t *testing.T) {
 		}
 	}()
 	q.Remove(&UOp{})
-}
-
-func TestIssueQueueDoEarlyStop(t *testing.T) {
-	q := NewIssueQueue(isa.FQ, 4)
-	for i := 0; i < 4; i++ {
-		q.Add(&UOp{})
-	}
-	n := 0
-	q.Do(func(u *UOp) bool { n++; return n < 2 })
-	if n != 2 {
-		t.Errorf("visited %d", n)
-	}
 }
 
 func TestNewIssueQueuePanics(t *testing.T) {
@@ -291,5 +281,41 @@ func TestBackendReset(t *testing.T) {
 	}
 	if len(b.Threads) != 1 {
 		t.Error("reset must keep the thread mapping")
+	}
+}
+
+// TestRenewBackend: a used back end of the requested shape comes back as
+// NewBackend would build it, with no thread mapped; one of another shape
+// is left alone.
+func TestRenewBackend(t *testing.T) {
+	b := NewBackend(0, config.M4, 8)
+	b.AssignThread(3)
+	b.FetchBuf.PushTail(&UOp{})
+	u := &UOp{}
+	b.LQ.Add(u)
+	b.LQ.PushReady(u)
+	b.FQ.Add(&UOp{})
+	// Occupy every integer unit.
+	for b.Units.TryIssue(isa.IntDiv, 5) {
+	}
+
+	if got := RenewBackend(b, 2, config.M2, 8); got == b {
+		t.Fatal("RenewBackend reused an M4 back end for an M2")
+	}
+	got := RenewBackend(b, 1, config.M4, 8)
+	if got != b {
+		t.Fatal("RenewBackend built a new back end instead of reusing one of the same shape")
+	}
+	want := NewBackend(1, config.M4, 8)
+	if got.Index != want.Index || len(got.Threads) != 0 || got.FetchBuf.Len() != 0 || got.FetchBuf.Cap() != want.FetchBuf.Cap() {
+		t.Errorf("renewed back end: index %d, %d threads, fetch buffer %d/%d", got.Index, len(got.Threads), got.FetchBuf.Len(), got.FetchBuf.Cap())
+	}
+	for i, q := range got.Queues {
+		if q.Len() != 0 || q.ReadyLen() != 0 || q.Stats() != want.Queues[i].Stats() || q.Cap() != want.Queues[i].Cap() {
+			t.Errorf("renewed %v queue: len %d, ready %d, stats %+v, cap %d", q.Kind(), q.Len(), q.ReadyLen(), q.Stats(), q.Cap())
+		}
+	}
+	if got.Units.Stats() != want.Units.Stats() || !got.Units.TryIssue(isa.IntDiv, 6) {
+		t.Error("renewed back end kept functional-unit state")
 	}
 }

@@ -73,7 +73,6 @@ type UOp struct {
 	NextWriter *UOp
 
 	Stage     Stage
-	Queue     isa.Queue
 	IssueAt   uint64 // earliest issue cycle (front-end depth + RF read)
 	DoneCycle uint64 // result-ready cycle, valid once issued
 
@@ -83,14 +82,13 @@ type UOp struct {
 	// Wakeup state, maintained by the core's event-driven issue scheduler
 	// while the uop is dispatched. DispatchSeq is a processor-global stamp
 	// that orders ready-list selection identically to queue (dispatch)
-	// order; QIdx is the uop's index in its issue queue's slot array,
-	// making removal O(1). WaitCount counts source operands not yet
+	// order, and the reference selection's merge of its pipeline's
+	// reorder buffers likewise. WaitCount counts source operands not yet
 	// produced; Waiting[i] records that a waiter-list entry exists for
 	// Src[i]; TimerQueued records a pending issue-timer ring entry (only
 	// uops whose operands resolve before IssueAt need one); InReady
 	// records membership in the queue's ready list.
 	DispatchSeq uint64
-	QIdx        int
 	WaitCount   int8
 	Waiting     [2]bool
 	TimerQueued bool
@@ -115,12 +113,10 @@ func (u *UOp) ResetFor(thread, pipe int, fetchSeq, fetchCycle uint64) {
 	u.PrevWriter = nil
 	u.NextWriter = nil
 	u.Stage = StageFetched
-	u.Queue = 0
 	u.IssueAt = 0
 	u.DoneCycle = 0
 	u.FlushMiss = false
 	u.DispatchSeq = 0
-	u.QIdx = 0
 	u.WaitCount = 0
 	u.Waiting = [2]bool{}
 	u.TimerQueued = false

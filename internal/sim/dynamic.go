@@ -37,7 +37,7 @@ func RunDynamic(cfg config.Microarch, w workload.Workload, interval uint64, opt 
 	out.StaticIPC = rs.IPC
 
 	req.Remap = interval
-	dyn, err := newProcessor(req)
+	dyn, err := newProcessor(nil, req)
 	if err != nil {
 		return out, err
 	}

@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"hdsmt/internal/config"
 	"hdsmt/internal/core"
@@ -22,7 +24,9 @@ import (
 // A Runner is the only way to run a sweep: one-shot callers build one and
 // Close it; long-lived callers (cmd/hdsmtd, repeated sweeps) share one.
 // Single simulations outside the engine (Run, RunReference, RunDynamic,
-// Fairness) assemble their processor the same way, through newProcessor.
+// Fairness) assemble their processor the same way, through newProcessor;
+// runs through simulate (every engine job, Run, Fairness) recycle
+// processor storage.
 type Runner struct {
 	eng *engine.Engine
 }
@@ -59,9 +63,10 @@ var testCoreOptions []core.Option
 // newProcessor assembles the processor one request describes: its
 // workload's threads on its configuration under its mapping, with the
 // request's warm-up, fetch-policy override and dynamic-remap interval,
-// then any extra options. It is the package's only core.New call, so every
-// entry point builds a simulation the same way.
-func newProcessor(req engine.Request, extra ...core.Option) (*core.Processor, error) {
+// then any extra options. It reuses old's storage (core.Renew; nil builds
+// everything new) and is the package's only call into core construction,
+// so every entry point builds a simulation the same way.
+func newProcessor(old *core.Processor, req engine.Request, extra ...core.Option) (*core.Processor, error) {
 	specs, err := Specs(req.Workload)
 	if err != nil {
 		return nil, err
@@ -80,8 +85,27 @@ func newProcessor(req engine.Request, extra ...core.Option) (*core.Processor, er
 	if req.Remap > 0 {
 		opts = append(opts, core.WithDynamicMapping(req.Remap, heuristicRemapper(req.Cfg)))
 	}
-	return core.New(req.Cfg, specs, req.Mapping, append(opts, extra...)...)
+	return core.Renew(old, req.Cfg, specs, req.Mapping, append(opts, extra...)...)
 }
+
+// Processors whose run is over, for simulate to build the next run's
+// processor from. A run then reuses the megabyte of caches, tables,
+// buffers and uop records of an earlier one instead of allocating it — for
+// a short simulation, most of its allocation and of the garbage collection
+// that ran alongside it. core.Renew resets every reused structure to the
+// state core.New builds it in, so which processor a run is given changes
+// nothing in its Results.
+//
+// spare holds the last processor put back; processors takes the rest. A
+// sync.Pool alone keeps one processor per P and, asked on another P, builds
+// a new one, so a single goroutine that moves between Ps (sim.Run in a
+// loop, a one-worker engine) would keep several; with spare it keeps one
+// and reuses it whichever P it runs on. Concurrent runs overflow into
+// processors, which the garbage collector may empty.
+var (
+	spare      atomic.Pointer[core.Processor]
+	processors sync.Pool
+)
 
 // simulate is the engine's runner function: it executes one request with
 // the core simulator, sampled when the request carries sampling
@@ -91,14 +115,24 @@ func simulate(ctx context.Context, req engine.Request) (core.Results, error) {
 	if err := ctx.Err(); err != nil {
 		return core.Results{}, err
 	}
-	p, err := newProcessor(req)
+	old := spare.Swap(nil)
+	if old == nil {
+		old, _ = processors.Get().(*core.Processor)
+	}
+	p, err := newProcessor(old, req)
 	if err != nil {
 		return core.Results{}, err
 	}
+	var r core.Results
 	if sp := req.Sample(); sp.Enabled() {
-		return p.RunSampled(req.Budget, sp)
+		r, err = p.RunSampled(req.Budget, sp)
+	} else {
+		r, err = p.Run(req.Budget)
 	}
-	return p.Run(req.Budget)
+	if !spare.CompareAndSwap(nil, p) {
+		processors.Put(p)
+	}
+	return r, err
 }
 
 // defaultPolicyName is the policy core.New picks when none is overridden,

@@ -135,7 +135,7 @@ func Run(cfg config.Microarch, w workload.Workload, m mapping.Mapping, opt Optio
 // baseline of cmd/experiments -perf, which fails if the two paths' counts
 // differ.
 func RunReference(cfg config.Microarch, w workload.Workload, m mapping.Mapping, opt Options) (core.Results, error) {
-	p, err := newProcessor(newRequest(cfg, w, m, opt.Budget, opt.Warmup), core.WithReferenceStepping())
+	p, err := newProcessor(nil, newRequest(cfg, w, m, opt.Budget, opt.Warmup), core.WithReferenceStepping())
 	if err != nil {
 		return core.Results{}, err
 	}

@@ -107,10 +107,16 @@ type Program struct {
 	// Entries are indexes into Blocks of callable function bodies.
 	Entries []int
 
-	byPC   map[uint64]*StaticInst
 	minPC  uint64
 	maxPC  uint64
 	nInsts int
+	// atPC is the instruction dictionary: the dense index of the
+	// instruction at minPC + k*InstrBytes, or -1 where no instruction
+	// sits. BuildProgram lays programs out contiguously, so the table is
+	// nInsts long.
+	atPC []int32
+	// classes has bit c set when some instruction is of class c.
+	classes uint32
 
 	// Successor links by dense instruction index, resolved once at build
 	// time so the correct-path stream follows indices instead of
@@ -124,13 +130,11 @@ type Program struct {
 
 // finalize builds the dictionary index; called once by the builder.
 func (p *Program) finalize() {
-	p.byPC = make(map[uint64]*StaticInst)
 	first := true
 	for _, b := range p.Blocks {
 		for i := range b.Insts {
 			in := &b.Insts[i]
 			in.Index = p.nInsts
-			p.byPC[in.PC] = in
 			if first || in.PC < p.minPC {
 				p.minPC = in.PC
 			}
@@ -140,10 +144,22 @@ func (p *Program) finalize() {
 			first = false
 			p.nInsts++
 			p.insts = append(p.insts, in)
+			p.classes |= 1 << in.Class
+		}
+	}
+	if p.nInsts > 0 {
+		p.atPC = make([]int32, (p.maxPC-p.minPC)/isa.InstrBytes+1)
+		for k := range p.atPC {
+			p.atPC[k] = -1
+		}
+		for _, in := range p.insts {
+			if (in.PC-p.minPC)%isa.InstrBytes == 0 {
+				p.atPC[(in.PC-p.minPC)/isa.InstrBytes] = int32(in.Index)
+			}
 		}
 	}
 	idxAt := func(pc uint64) int32 {
-		if in, ok := p.byPC[pc]; ok {
+		if in, ok := p.StaticAt(pc); ok {
 			return int32(in.Index)
 		}
 		return -1
@@ -163,9 +179,19 @@ func (p *Program) finalize() {
 // the paper's "basic block dictionary" to follow wrong paths: the dictionary
 // holds "information of all static instructions" (paper §4).
 func (p *Program) StaticAt(pc uint64) (*StaticInst, bool) {
-	in, ok := p.byPC[pc]
-	return in, ok
+	off := pc - p.minPC // wraps above the table for pc < minPC
+	if off%isa.InstrBytes != 0 || off/isa.InstrBytes >= uint64(len(p.atPC)) {
+		return nil, false
+	}
+	k := p.atPC[off/isa.InstrBytes]
+	if k < 0 {
+		return nil, false
+	}
+	return p.insts[k], true
 }
+
+// Has reports whether some instruction of the program is of class c.
+func (p *Program) Has(c isa.Class) bool { return p.classes&(1<<c) != 0 }
 
 // Len returns the number of static instructions.
 func (p *Program) Len() int { return p.nInsts }
@@ -187,7 +213,10 @@ func (p *Program) BlockAt(pc uint64) (*Block, bool) {
 
 // Validate checks structural invariants: contiguous 4-byte layout inside
 // blocks, control flow only at block ends, all static targets resolving to
-// block starts. The builder's tests and testing/quick properties use it.
+// block starts, and no Nop. The core's issue selection relies on the last:
+// every other class needs its issue queue's one functional-unit kind, so a
+// ready-list scan may stop at the first entry refused a unit. The
+// builder's tests and testing/quick properties use it.
 func (p *Program) Validate() error {
 	if len(p.Blocks) == 0 {
 		return fmt.Errorf("trace: program %q has no blocks", p.Name)
@@ -204,6 +233,9 @@ func (p *Program) Validate() error {
 			in := &b.Insts[i]
 			if i > 0 && in.PC != b.Insts[i-1].PC+isa.InstrBytes {
 				return fmt.Errorf("trace: block %d not contiguous at %#x", bi, in.PC)
+			}
+			if in.Class == isa.Nop {
+				return fmt.Errorf("trace: %#x is a nop, which programs may not hold", in.PC)
 			}
 			if in.Class.IsControl() && i != len(b.Insts)-1 {
 				return fmt.Errorf("trace: control instruction %#x not at block end", in.PC)

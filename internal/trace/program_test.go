@@ -123,6 +123,48 @@ func TestStaticAt(t *testing.T) {
 	if lo >= hi {
 		t.Error("bounds inverted")
 	}
+	for _, pc := range []uint64{0, lo + 1, lo + isa.InstrBytes + 2, hi + 1, ^uint64(0)} {
+		if _, ok := p.StaticAt(pc); ok {
+			t.Errorf("StaticAt(%#x) found an instruction off the program's 4-byte grid", pc)
+		}
+	}
+}
+
+// TestHasClass checks the class summary finalize builds against a scan of
+// the program.
+func TestHasClass(t *testing.T) {
+	p := mustBuild(t, testParams(3))
+	var present [isa.NumClasses]bool
+	for _, b := range p.Blocks {
+		for _, in := range b.Insts {
+			present[in.Class] = true
+		}
+	}
+	for c := range present {
+		if got := p.Has(isa.Class(c)); got != present[c] {
+			t.Errorf("Has(%v) = %v, a scan finds %v", isa.Class(c), got, present[c])
+		}
+	}
+}
+
+// TestValidateRejectsNop: the core's issue selection stops scanning a
+// ready list at the first entry refused a functional unit, which is exact
+// only because every class a queue holds needs a unit — a Nop needs none,
+// so programs may not hold one.
+func TestValidateRejectsNop(t *testing.T) {
+	p := mustBuild(t, testParams(3))
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	blocks := make([]*Block, len(p.Blocks))
+	for i, b := range p.Blocks {
+		blocks[i] = &Block{Insts: append([]StaticInst(nil), b.Insts...)}
+	}
+	blocks[0].Insts[0].Class = isa.Nop
+	withNop := &Program{Name: "nop", Blocks: blocks}
+	if err := withNop.Validate(); err == nil {
+		t.Error("Validate accepted a program holding a nop")
+	}
 }
 
 func TestBlockAt(t *testing.T) {

@@ -46,12 +46,28 @@ type frame struct {
 // seed individualizes branch outcomes and address streams; base offsets all
 // data addresses (give each thread a distinct base).
 func NewStream(prog *Program, seed, base uint64) *Stream {
-	return &Stream{
+	s := new(Stream)
+	s.Restart(prog, seed, base)
+	return s
+}
+
+// Restart makes s the stream NewStream(prog, seed, base) returns, reusing
+// its storage.
+func (s *Stream) Restart(prog *Program, seed, base uint64) {
+	counts := s.counts
+	if cap(counts) >= prog.Len() {
+		counts = counts[:prog.Len()]
+		clear(counts)
+	} else {
+		counts = make([]uint64, prog.Len())
+	}
+	*s = Stream{
 		prog:      prog,
 		seed:      seed,
 		base:      base,
 		cur:       0, // Blocks[0].Insts[0] has dense index 0
-		counts:    make([]uint64, prog.Len()),
+		counts:    counts,
+		callStack: s.callStack[:0],
 		stackBase: base + 0x7fff0000,
 	}
 }

@@ -21,6 +21,31 @@ func TestStreamDeterminism(t *testing.T) {
 	}
 }
 
+// TestStreamRestart: a used stream restarted on another program, seed and
+// base generates exactly what a new stream over them does, whether its
+// storage fits the new program or must grow.
+func TestStreamRestart(t *testing.T) {
+	small := testParams(1)
+	small.NumBlocks = 20
+	progs := []*Program{mustBuild(t, testParams(1)), mustBuild(t, small), mustBuild(t, testParams(2))}
+	s := NewStream(progs[0], 7, 0x20000)
+	for i, p := range progs {
+		for k := 0; k < 3_000; k++ {
+			s.Next()
+		}
+		seed, base := uint64(11+i), uint64(0x10000*(i+1))
+		s.Restart(p, seed, base)
+		fresh := NewStream(p, seed, base)
+		for k := 0; k < 5_000; k++ {
+			x, _ := s.Next()
+			y, _ := fresh.Next()
+			if x != y {
+				t.Fatalf("program %d: restarted stream diverged at %d: %v vs %v", i, k, &x, &y)
+			}
+		}
+	}
+}
+
 // TestStreamAdvanceEquivalence: Advance(n) leaves the stream in exactly
 // the state n Next calls would — the instructions generated afterwards are
 // identical, at every alignment relative to loops, calls and returns.
