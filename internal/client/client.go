@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"hdsmt/internal/obslog"
@@ -235,8 +236,28 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	// The body is read whole into a pooled buffer and decoded from there:
+	// json.Unmarshal copies what it keeps, so the buffer can be reused.
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer putBodyBuf(buf)
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return retry.Permanent(fmt.Errorf("decoding %s %s response: %w", method, path, err))
+	}
+	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
 		return retry.Permanent(fmt.Errorf("decoding %s %s response: %w", method, path, err))
 	}
 	return nil
+}
+
+// bodyBufs recycles the buffers response bodies are read into.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putBodyBuf returns b to the pool unless a rare large body grew it: a
+// pooled buffer keeps its capacity for as long as it lives.
+func putBodyBuf(b *bytes.Buffer) {
+	if b.Cap() > 1<<20 {
+		return
+	}
+	b.Reset()
+	bodyBufs.Put(b)
 }

@@ -2,12 +2,13 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
+	"sync"
 
 	"hdsmt/internal/obslog"
 	"hdsmt/internal/retry"
@@ -84,6 +85,12 @@ func (c *Client) Watch(ctx context.Context, after int64, fn func(server.Event) e
 	})
 }
 
+// sseBuf is the reusable storage of one SSE read loop: the scanner's
+// initial line buffer and the slice a frame's data lines gather in.
+type sseBuf struct{ line, data []byte }
+
+var sseBufs = sync.Pool{New: func() any { return &sseBuf{line: make([]byte, 4096)} }}
+
 // streamOnce runs one SSE connection against path, advancing *last as
 // events arrive so a retry resumes exactly where this attempt died.
 // follow marks a never-settling feed: terminal job events pass through
@@ -124,21 +131,26 @@ func (c *Client) streamOnce(ctx context.Context, path string, last *int64, follo
 		return retry.Permanent(apiErr)
 	}
 
+	// Lines are read as the scanner's bytes, and a frame's data lines
+	// gather in one reused slice; both buffers come from a pool.
+	bufs := sseBufs.Get().(*sseBuf)
+	defer sseBufs.Put(bufs)
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	var data strings.Builder
+	sc.Buffer(bufs.line[:0], 1<<20)
+	data := bufs.data[:0]
+	defer func() { bufs.data = data[:0] }()
 	terminal := false
 	for sc.Scan() {
-		line := sc.Text()
+		line := sc.Bytes()
 		switch {
-		case line == "":
+		case len(line) == 0:
 			// Frame boundary: dispatch what we accumulated.
-			if data.Len() > 0 {
+			if len(data) > 0 {
 				var ev server.Event
-				if err := json.Unmarshal([]byte(data.String()), &ev); err != nil {
+				if err := json.Unmarshal(data, &ev); err != nil {
 					return retry.Permanent(fmt.Errorf("decoding SSE event: %w", err))
 				}
-				data.Reset()
+				data = data[:0]
 				if ev.Seq > *last {
 					*last = ev.Seq
 					if err := fn(ev); err != nil {
@@ -147,8 +159,8 @@ func (c *Client) streamOnce(ctx context.Context, path string, last *int64, follo
 					terminal = !follow && server.TerminalEvent(ev.Type)
 				}
 			}
-		case strings.HasPrefix(line, "data:"):
-			data.WriteString(strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " "))
+		case bytes.HasPrefix(line, []byte("data:")):
+			data = append(data, bytes.TrimPrefix(line[len("data:"):], []byte(" "))...)
 		default:
 			// id:/event: lines (redundant with the JSON) and ": hb"
 			// heartbeat comments.

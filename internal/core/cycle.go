@@ -609,34 +609,55 @@ func (p *Processor) issueScanAll(c uint64) {
 	extraRF := uint64(p.cfg.Params.RegAccessLatency - 1)
 	for _, b := range p.pipes {
 		budget := b.Model.Width
+		p.queueEntries(b)
 		for _, q := range b.Queues {
 			if budget == 0 {
 				break
 			}
-			budget = p.pollQueue(b, q, c, extraRF, budget)
+			budget = p.pollQueue(b, q, p.entryScratch[q.Kind()], c, extraRF, budget)
 		}
 	}
 }
 
-// pollQueue offers q's entries, oldest-first, to issue until budget runs
-// out, and returns the budget left. A queue's entries are the dispatched
-// uops of its class in the reorder buffers of b's threads: every
-// dispatched uop sits in both its queue and its thread's ROB until it
-// issues or is squashed, and its thread stays on its pipeline meanwhile
-// (a migration squashes everything first). Each ROB holds its thread's
-// uops in dispatch order, so merging b's ROBs by DispatchSeq visits the
-// entries in dispatch order — the queue's own order.
-func (p *Processor) pollQueue(b *pipeline.Backend, q *pipeline.IssueQueue, c, extraRF uint64, budget int) int {
+// queueEntries sorts the entries of b's issue queues into
+// p.entryScratch, one slice per queue kind, each in dispatch order. A
+// queue's entries are the dispatched uops of its class in the reorder
+// buffers of b's threads: every dispatched uop sits in both its queue and
+// its thread's ROB until it issues or is squashed, and its thread stays
+// on its pipeline meanwhile (a migration squashes everything first). Each
+// ROB holds its thread's uops in dispatch order, so one merge of b's ROBs
+// by DispatchSeq visits every queue's entries in the queue's own order.
+// Issuing from one queue changes no other queue's entries, so the sort
+// made before the first queue is polled holds for all three.
+func (p *Processor) queueEntries(b *pipeline.Backend) {
+	for k := range p.entryScratch {
+		p.entryScratch[k] = p.entryScratch[k][:0]
+	}
+	if b.IQ.Len()+b.LQ.Len()+b.FQ.Len() == 0 {
+		return
+	}
 	// next[k] is the ROB position the merge has reached in b.Threads[k].
 	next := p.pollScratch[:0]
 	for range b.Threads {
 		next = append(next, 0)
 	}
 	p.pollScratch = next
-	for left := q.Len(); left > 0 && budget > 0; left-- {
-		u := p.nextEntry(b, q, next)
-		if u == nil {
-			panic(fmt.Sprintf("core: %v of pipeline %d holds %d entries its threads' ROBs do not", q.Kind(), b.Index, left))
+	for u := p.nextEntry(b, nil, next); u != nil; u = p.nextEntry(b, nil, next) {
+		kind := isa.QueueFor(u.Inst.Class)
+		p.entryScratch[kind] = append(p.entryScratch[kind], u)
+	}
+}
+
+// pollQueue offers q's entries, oldest-first, to issue until budget runs
+// out, and returns the budget left. entries are q's entries in dispatch
+// order, as queueEntries sorted them.
+func (p *Processor) pollQueue(b *pipeline.Backend, q *pipeline.IssueQueue, entries []*pipeline.UOp, c, extraRF uint64, budget int) int {
+	if len(entries) < q.Len() {
+		panic(fmt.Sprintf("core: %v of pipeline %d holds %d entries its threads' ROBs do not", q.Kind(), b.Index, q.Len()-len(entries)))
+	}
+	for _, u := range entries[:q.Len()] {
+		if budget == 0 {
+			break
 		}
 		p.work.ReadyVisits++
 		if u.IssueAt > c || !u.Ready(p.rf) || !b.Units.TryIssue(u.Inst.Class, c) {
@@ -649,16 +670,17 @@ func (p *Processor) pollQueue(b *pipeline.Backend, q *pipeline.IssueQueue, c, ex
 	return budget
 }
 
-// nextEntry returns the oldest of q's entries the merge has not yet
-// passed, or nil when none is left, and moves the merge past it. next[k]
-// is the merge's position in the ROB of b.Threads[k], starting at 0.
+// nextEntry returns the oldest dispatched uop the merge has not yet
+// passed — of queue q, or of any queue when q is nil — or nil when none
+// is left, and moves the merge past it. next[k] is the merge's position
+// in the ROB of b.Threads[k], starting at 0.
 func (p *Processor) nextEntry(b *pipeline.Backend, q *pipeline.IssueQueue, next []int) *pipeline.UOp {
 	var u *pipeline.UOp
 	pick := -1
 	for k, tid := range b.Threads {
 		rob := p.threads[tid].rob
 		for ; next[k] < rob.Len(); next[k]++ {
-			if v := rob.At(next[k]); v.Stage == pipeline.StageDispatched && b.QueueFor(v.Inst.Class) == q {
+			if v := rob.At(next[k]); v.Stage == pipeline.StageDispatched && (q == nil || b.QueueFor(v.Inst.Class) == q) {
 				if u == nil || v.DispatchSeq < u.DispatchSeq {
 					u, pick = v, k
 				}

@@ -111,6 +111,7 @@ type Processor struct {
 	orderScratch []int
 	stateScratch []fetch.ThreadState
 	pollScratch  []int
+	entryScratch [3][]*pipeline.UOp // the reference selection's queue entries, by isa.Queue
 	remapMisses  []uint64
 	remapPipes   []int
 
@@ -253,6 +254,7 @@ func Renew(old *Processor, cfg config.Microarch, specs []ThreadSpec, mapping []i
 		orderScratch: prev.orderScratch[:0],
 		stateScratch: prev.stateScratch[:0],
 		pollScratch:  prev.pollScratch[:0],
+		entryScratch: prev.entryScratch,
 		remapMisses:  prev.remapMisses[:0],
 		remapPipes:   prev.remapPipes[:0],
 		baseThread:   prev.baseThread[:0],

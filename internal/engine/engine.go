@@ -16,7 +16,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -161,6 +160,14 @@ type task struct {
 	jt    *telemetry.JobTrace
 	pspan string
 }
+
+// resolved is the done channel of every memo-hit ticket: it is closed
+// once, so a hit makes no channel.
+var resolved = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 func (t *task) resolve(res core.Results, err error) {
 	t.res, t.err = res, err
@@ -313,9 +320,12 @@ func (e *Engine) Stats() Stats {
 }
 
 func (e *Engine) shardFor(key string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return e.shards[h.Sum32()%uint32(len(e.shards))]
+	// FNV-1a, inline: hashing the string in place copies nothing.
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return e.shards[h%uint32(len(e.shards))]
 }
 
 // Ticket is a handle on a submitted job. Wait blocks until the job
@@ -376,9 +386,7 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Ticket, error) {
 		sh.mu.Unlock()
 		e.tel.memoHits.Inc()
 		e.instant(jt, pspan, "memo-hit", req, key)
-		t := &task{done: make(chan struct{})}
-		t.resolve(res, nil)
-		return &Ticket{t: t, hit: true}, nil
+		return &Ticket{t: &task{done: resolved, res: res}, hit: true}, nil
 	}
 	if t, ok := sh.inflight[key]; ok {
 		t.waiters = append(t.waiters, ctx)

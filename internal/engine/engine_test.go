@@ -170,6 +170,50 @@ func TestMemoization(t *testing.T) {
 	}
 }
 
+// TestMemoHitTickets checks that memo-hit tickets, which share one closed
+// done channel, each resolve at once to their own request's result, and
+// that waiting on one twice returns the same result again.
+func TestMemoHitTickets(t *testing.T) {
+	var executed atomic.Uint64
+	e, err := engine.New(fakeRunner(&executed), engine.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ctx := context.Background()
+	reqs := testBatch(4)
+	if _, err := e.RunBatch(ctx, reqs); err != nil {
+		t.Fatal(err)
+	}
+	var tickets []*engine.Ticket
+	for round := 0; round < 2; round++ {
+		for _, r := range reqs {
+			tk, err := e.Submit(ctx, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tk.CacheHit() {
+				t.Fatalf("%s: warm submission is not a memo hit", r)
+			}
+			tickets = append(tickets, tk)
+		}
+	}
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	for i, tk := range tickets {
+		for pass := 0; pass < 2; pass++ {
+			// A resolved ticket answers even on a canceled context.
+			res, err := tk.Wait(canceled)
+			if err != nil || res.Cycles != reqs[i%len(reqs)].Budget {
+				t.Fatalf("ticket %d pass %d: %+v, %v; want cycles %d", i, pass, res, err, reqs[i%len(reqs)].Budget)
+			}
+		}
+	}
+	if got := executed.Load(); got != uint64(len(reqs)) {
+		t.Errorf("executed %d, want %d", got, len(reqs))
+	}
+}
+
 func TestCoalescing(t *testing.T) {
 	var executed atomic.Uint64
 	gate := make(chan struct{})

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"hdsmt/internal/config"
 	"hdsmt/internal/core"
@@ -58,20 +59,142 @@ func (r Request) Sample() core.SampleParams {
 	return core.SampleParams{Period: r.SamplePeriod, Detail: r.SampleDetail, Warm: r.SampleWarm}
 }
 
-// Key returns the request's content-addressed identity: a hex SHA-256 of
-// the canonical JSON encoding. Struct fields marshal in declaration order,
-// so equal requests produce equal keys across processes — the property the
-// on-disk store and the checkpoint journal rely on.
+// Key returns the request's content-addressed identity: the hex SHA-256
+// of json.Marshal(r). Struct fields marshal in declaration order, so equal
+// requests produce equal keys across processes — the property the on-disk
+// store and the checkpoint journal rely on. The bytes come from appendJSON,
+// which writes what json.Marshal would without reflection, into a stack
+// buffer; TestRequestKeyGolden, TestAppendJSONCoversEveryField and
+// FuzzRequestKey hold it to json.Marshal.
 func (r Request) Key() string {
-	b, err := json.Marshal(r)
-	if err != nil {
-		// Request is plain data (strings, ints, slices); Marshal cannot
-		// fail on it. Guard anyway so a future field cannot corrupt keys
-		// silently.
-		panic(fmt.Sprintf("engine: marshaling request key: %v", err))
+	var buf [1024]byte
+	sum := sha256.Sum256(r.appendJSON(buf[:0]))
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
+}
+
+// appendJSON appends json.Marshal(r) to b.
+func (r Request) appendJSON(b []byte) []byte {
+	b = append(b, `{"cfg":{"Name":`...)
+	b = appendString(b, r.Cfg.Name)
+	b = append(b, `,"Pipelines":`...)
+	if r.Cfg.Pipelines == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, m := range r.Cfg.Pipelines {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendModel(b, m)
+		}
+		b = append(b, ']')
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	b = append(b, `,"Monolithic":`...)
+	b = strconv.AppendBool(b, r.Cfg.Monolithic)
+	p := r.Cfg.Params
+	b = appendInt(b, `,"Params":{"FetchWidth":`, p.FetchWidth)
+	b = appendInt(b, `,"FetchMaxThreads":`, p.FetchMaxThreads)
+	b = appendInt(b, `,"ROBPerThread":`, p.ROBPerThread)
+	b = appendInt(b, `,"RenameRegs":`, p.RenameRegs)
+	b = appendInt(b, `,"PipelineDepth":`, p.PipelineDepth)
+	b = appendInt(b, `,"RegAccessLatency":`, p.RegAccessLatency)
+	b = append(b, `}},"workload":{"Name":`...)
+	b = appendString(b, r.Workload.Name)
+	b = append(b, `,"Benchmarks":`...)
+	if r.Workload.Benchmarks == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, name := range r.Workload.Benchmarks {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, name)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"Type":`...)
+	b = strconv.AppendUint(b, uint64(r.Workload.Type), 10)
+	b = append(b, `},"mapping":`...)
+	if r.Mapping == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, p := range r.Mapping {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(p), 10)
+		}
+		b = append(b, ']')
+	}
+	b = appendUint(b, `,"budget":`, r.Budget)
+	b = appendUint(b, `,"warmup":`, r.Warmup)
+	if r.Policy != "" {
+		b = append(b, `,"policy":`...)
+		b = appendString(b, r.Policy)
+	}
+	b = appendNonzero(b, `,"remap":`, r.Remap)
+	b = appendNonzero(b, `,"sample_period":`, r.SamplePeriod)
+	b = appendNonzero(b, `,"sample_detail":`, r.SampleDetail)
+	b = appendNonzero(b, `,"sample_warm":`, r.SampleWarm)
+	return append(b, '}')
+}
+
+func appendModel(b []byte, m config.Model) []byte {
+	b = append(b, `{"Name":`...)
+	b = appendString(b, m.Name)
+	b = appendInt(b, `,"Contexts":`, m.Contexts)
+	b = appendInt(b, `,"Width":`, m.Width)
+	b = appendInt(b, `,"ThreadsPerCycle":`, m.ThreadsPerCycle)
+	b = appendInt(b, `,"IQ":`, m.IQ)
+	b = appendInt(b, `,"FQ":`, m.FQ)
+	b = appendInt(b, `,"LQ":`, m.LQ)
+	b = appendInt(b, `,"IntUnits":`, m.IntUnits)
+	b = appendInt(b, `,"FPUnits":`, m.FPUnits)
+	b = appendInt(b, `,"LdStUnits":`, m.LdStUnits)
+	b = appendInt(b, `,"FetchBuf":`, m.FetchBuf)
+	return append(b, '}')
+}
+
+// appendInt appends a field's name part (its comma, quoted name and
+// colon) and its value.
+func appendInt(b []byte, name string, v int) []byte {
+	return strconv.AppendInt(append(b, name...), int64(v), 10)
+}
+
+func appendUint(b []byte, name string, v uint64) []byte {
+	return strconv.AppendUint(append(b, name...), v, 10)
+}
+
+// appendNonzero appends an omitempty field unless v is 0.
+func appendNonzero(b []byte, name string, v uint64) []byte {
+	if v == 0 {
+		return b
+	}
+	return appendUint(b, name, v)
+}
+
+// appendString appends s as json.Marshal quotes it. A string of printable
+// ASCII other than '"', '\\' and the HTML-escaped '<', '>' and '&' is
+// copied between quotes; any other string, rare in a request, is left to
+// json.Marshal and its escaping rules.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, err := json.Marshal(s)
+			if err != nil {
+				// Marshal never fails on a string.
+				panic(fmt.Sprintf("engine: marshaling request key: %v", err))
+			}
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // String describes the request compactly for logs and errors.

@@ -174,13 +174,14 @@ func (tl *timeline) subscribe() (ch chan struct{}, cancel func()) {
 }
 
 // event records one transition of j: it appends the timeline event to j
-// — and, stamped with the job ID, to the server-wide feed — and journals
-// it. It is the single place job history is recorded. rec is the state
-// record of a transition that changes the job's durable state (accepted,
-// running, done/failed/canceled, interrupted, evicted): the timeline
-// event rides in it, so the state and its timeline entry land in one
-// append that a crash cannot split. A nil rec journals a durable event as
-// a bare "timeline" record.
+// — and, stamped with the job ID, to the server-wide feed — journals it,
+// and writes the lifecycle log line of a settlement or a resumption from
+// the journaled record. It is the single place job history is recorded.
+// rec is the state record of a transition that changes the job's durable
+// state (accepted, running, done/failed/canceled, interrupted, evicted):
+// the timeline event rides in it, so the state and its timeline entry
+// land in one append that a crash cannot split. A nil rec journals a
+// durable event as a bare "timeline" record.
 func (s *Server) event(j *job, typ, detail string, rec *jobEvent) {
 	ev := j.tl.append(typ, detail, "")
 	s.feed.append(typ, detail, j.id)
@@ -194,6 +195,15 @@ func (s *Server) event(j *job, typ, detail string, rec *jobEvent) {
 	rec.ID, rec.TL = j.id, &ev
 	if err := s.jj.append(*rec); err != nil {
 		j.log.Error("journaling event failed", obslog.Err(err), obslog.F("type", typ))
+	}
+	switch {
+	case typ == EventSettled && rec.Event == "done":
+		j.log.Info("job settled", obslog.F("state", rec.Event), obslog.F("kind", j.spec.Kind))
+	case typ == EventSettled:
+		j.log.Warn("job settled", obslog.F("state", rec.Event), obslog.F("kind", j.spec.Kind),
+			obslog.F("err", rec.Error))
+	case typ == EventRetried:
+		j.log.Info("job resumed after restart", obslog.F("archive", j.spec.Archive))
 	}
 }
 
@@ -304,11 +314,13 @@ func (s *Server) streamTimeline(w http.ResponseWriter, r *http.Request, tl *time
 	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	fl.Flush()
 
 	heartbeat := time.NewTicker(s.sseHeartbeat)
 	defer heartbeat.Stop()
 
+	// The headers go out in the first flush: with the backlog when one is
+	// waiting, alone otherwise, so the client sees the stream open.
+	flushed := false
 	for {
 		events, closed := tl.after(after)
 		for _, ev := range events {
@@ -320,8 +332,9 @@ func (s *Server) streamTimeline(w http.ResponseWriter, r *http.Request, tl *time
 			after = ev.Seq
 			s.sseEvents.Inc()
 		}
-		if len(events) > 0 {
+		if len(events) > 0 || !flushed {
 			fl.Flush()
+			flushed = true
 		}
 		if closed {
 			// Everything up to the terminal event has been delivered.

@@ -9,12 +9,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"hdsmt/internal/engine"
 	"hdsmt/internal/faultinject"
+	"hdsmt/internal/obslog"
 	"hdsmt/internal/server"
 	"hdsmt/internal/sim"
 	"hdsmt/internal/telemetry"
@@ -119,10 +121,7 @@ func TestJobJournalRelistsSettledAcrossRestart(t *testing.T) {
 	if final.State != "done" {
 		t.Fatalf("job state %s: %s", final.State, final.Error)
 	}
-	var want json.RawMessage
-	if code := getJSON(t, ts1.URL+"/jobs/"+st.ID+"/result", &want); code != http.StatusOK {
-		t.Fatalf("GET result = %d", code)
-	}
+	want := getBody(t, ts1.URL+"/jobs/"+st.ID+"/result")
 	ts1.Close()
 	srv1.Close()
 
@@ -135,18 +134,10 @@ func TestJobJournalRelistsSettledAcrossRestart(t *testing.T) {
 	if listed.State != "done" || listed.Kind != "run" {
 		t.Errorf("recovered job = %s/%s, want run/done", listed.Kind, listed.State)
 	}
-	var got json.RawMessage
-	if code := getJSON(t, ts2.URL+"/jobs/"+st.ID+"/result", &got); code != http.StatusOK {
-		t.Fatalf("recovered result = %d", code)
-	}
-	var a, b any
-	if json.Unmarshal(want, &a) != nil || json.Unmarshal(got, &b) != nil {
-		t.Fatal("unmarshaling results")
-	}
-	aj, _ := json.Marshal(a)
-	bj, _ := json.Marshal(b)
-	if !bytes.Equal(aj, bj) {
-		t.Errorf("recovered result differs:\n got %s\nwant %s", bj, aj)
+	// The live job's response body and the replayed job's are compared
+	// as bytes, not as decoded values.
+	if got := getBody(t, ts2.URL+"/jobs/"+st.ID+"/result"); !bytes.Equal(got, want) {
+		t.Errorf("recovered result body differs:\n got %s\nwant %s", got, want)
 	}
 	if reg.Total(telemetry.MetricServerRecovered) == 0 {
 		t.Error("no recovered-jobs metric after replay")
@@ -177,6 +168,24 @@ func TestJobJournalRelistsSettledAcrossRestart(t *testing.T) {
 	if code := getJSON(t, ts3.URL+"/jobs/"+st2.ID, nil); code != http.StatusOK {
 		t.Errorf("non-evicted job lost (status %d)", code)
 	}
+}
+
+// getBody GETs url, requires 200 and returns the response body.
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d: %s", url, resp.StatusCode, b)
+	}
+	return b
 }
 
 // snapshotFile copies src (a live journal) to a fresh path, simulating
@@ -282,7 +291,9 @@ func TestJobJournalResumesArchivedPareto(t *testing.T) {
 	// unsettled in its snapshot.
 	awaitJob(t, ts1, st.ID)
 
-	ts2, _, reg := durableServer(t, snapshot, server.WithArchiveDir(archives))
+	var logs logBuffer
+	ts2, _, reg := durableServer(t, snapshot, server.WithArchiveDir(archives),
+		server.WithLogger(obslog.New(&logs)))
 	final := awaitJob(t, ts2, st.ID)
 	if final.State != "done" {
 		t.Fatalf("resumed pareto job = %s (%s), want done", final.State, final.Error)
@@ -304,6 +315,11 @@ func TestJobJournalResumesArchivedPareto(t *testing.T) {
 	}
 	if !resumed {
 		t.Error("resume not counted in the recovery metric")
+	}
+	re := regexp.MustCompile(`^level=info msg="job resumed after restart" component=server job=` + st.ID +
+		` tenant=anonymous request_id=\S+ archive=crashfront$`)
+	if got := logs.lines("job resumed after restart"); len(got) != 1 || !re.MatchString(got[0]) {
+		t.Errorf("resumption log records %q, want one matching %s", got, re)
 	}
 }
 

@@ -27,6 +27,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -222,7 +223,7 @@ type job struct {
 	mu       sync.Mutex
 	state    string
 	errmsg   string
-	result   any
+	result   json.RawMessage // compact, encoded once at settle (or replayed); /result serves it
 	done     int
 	total    int
 	created  time.Time
@@ -601,7 +602,6 @@ func (s *Server) resume(j *job) {
 	j.total = opts.Budget
 	s.recovered.With("resumed").Inc()
 	s.event(j, EventRetried, "resumed from archive after daemon restart", nil)
-	j.log.Info("job resumed after restart", obslog.F("archive", j.spec.Archive))
 	s.adm.adopt(j.tenant)
 	s.wg.Add(1)
 	go s.runJob(ctx, j, func(ctx context.Context, j *job) (any, error) {
@@ -1316,7 +1316,6 @@ func (s *Server) settle(ctx context.Context, j *job, result any, err error) {
 	switch {
 	case err == nil:
 		j.state = "done"
-		j.result = result
 	case deadline:
 		j.state = "failed"
 		j.errmsg = fmt.Sprintf("deadline exceeded: %v", err)
@@ -1331,8 +1330,9 @@ func (s *Server) settle(ctx context.Context, j *job, result any, err error) {
 	kind, tenant, state, errmsg := j.spec.Kind, j.tenant, j.state, j.errmsg
 	started := j.started
 	if j.state == "done" {
-		if raw, merr := json.Marshal(j.result); merr == nil {
-			ev.Result = raw
+		// One encoding serves the journal record and every /result.
+		if raw, merr := json.Marshal(result); merr == nil {
+			ev.Result, j.result = raw, raw
 		} else {
 			j.log.Error("result not journalable", obslog.Err(merr))
 		}
@@ -1348,12 +1348,6 @@ func (s *Server) settle(ctx context.Context, j *job, result any, err error) {
 		detail = state + ": " + errmsg
 	}
 	s.event(j, EventSettled, detail, &ev)
-	if state == "done" {
-		j.log.Info("job settled", obslog.F("state", state), obslog.F("kind", kind))
-	} else {
-		j.log.Warn("job settled", obslog.F("state", state), obslog.F("kind", kind),
-			obslog.F("err", errmsg))
-	}
 	s.adm.release(tenant)
 	j.cancel() // releases the deadline timer
 }
@@ -1564,12 +1558,46 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.runner.Stats())
 }
 
+// writeJSON writes v as the response body, byte for byte as a json.Encoder
+// with SetIndent("", "  ") would: v is encoded compactly (a
+// json.RawMessage, such as a job's stored result, is taken as already
+// encoded) and then indented, both into pooled buffers. A value that does
+// not encode leaves the body empty, as the encoder does.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	src, raw := v.(json.RawMessage)
+	if !raw {
+		compact := jsonBufs.Get().(*bytes.Buffer)
+		defer putJSONBuf(compact)
+		// Encode ends the value with a newline, which Indent keeps.
+		if err := json.NewEncoder(compact).Encode(v); err != nil {
+			return
+		}
+		src = compact.Bytes()
+	}
+	out := jsonBufs.Get().(*bytes.Buffer)
+	defer putJSONBuf(out)
+	if err := json.Indent(out, src, "", "  "); err != nil {
+		return
+	}
+	if raw {
+		out.WriteByte('\n')
+	}
+	_, _ = w.Write(out.Bytes())
+}
+
+// jsonBufs recycles writeJSON's buffers across responses.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putJSONBuf returns b to the pool unless a rare large body grew it: a
+// pooled buffer keeps its capacity for as long as it lives.
+func putJSONBuf(b *bytes.Buffer) {
+	if b.Cap() > 1<<20 {
+		return
+	}
+	b.Reset()
+	jsonBufs.Put(b)
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {
