@@ -2,8 +2,8 @@
 // benchmark per table/figure of the paper's evaluation. Each benchmark
 // regenerates its artifact at a scaled budget and reports the headline
 // quantities as custom metrics (b.ReportMetric), so `go test -bench=.`
-// reproduces the paper's rows and series. See EXPERIMENTS.md for the
-// recorded paper-vs-measured comparison at the default scale.
+// reproduces the paper's rows and series. cmd/experiments regenerates the
+// same figures at the default scale.
 package repro_test
 
 import (

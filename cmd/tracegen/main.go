@@ -1,12 +1,12 @@
-// Command tracegen materializes a benchmark's synthetic dynamic instruction
-// stream to a trace file (see internal/trace's codec) or inspects one.
-// Pre-generated traces replay byte-identically, the way the paper collects
-// SPEC trace segments once and replays them in SMTSIM.
+// Command tracegen inspects the synthetic benchmark streams: it lists the
+// benchmarks and prints the instruction mix of one benchmark's dynamic
+// instruction stream. Simulations generate their streams from the
+// benchmark profiles as they run; nothing is read from or written to a
+// trace file.
 //
 // Examples:
 //
-//	tracegen -benchmark mcf -n 1000000 -o mcf.trace
-//	tracegen -inspect mcf.trace
+//	tracegen -list
 //	tracegen -benchmark gzip -n 50000 -stats
 package main
 
@@ -22,11 +22,9 @@ import (
 
 func main() {
 	var (
-		benchName = flag.String("benchmark", "", "benchmark to generate (e.g. mcf)")
+		benchName = flag.String("benchmark", "", "benchmark whose stream to inspect (e.g. mcf)")
 		n         = flag.Uint64("n", 1_000_000, "instructions to generate")
-		out       = flag.String("o", "", "output trace file (default: <benchmark>.trace)")
-		inspect   = flag.String("inspect", "", "print the header and first records of a trace file")
-		stats     = flag.Bool("stats", false, "print the stream's instruction mix instead of writing a file")
+		stats     = flag.Bool("stats", false, "print the stream's instruction mix")
 		listAll   = flag.Bool("list", false, "list available benchmarks")
 	)
 	flag.Parse()
@@ -36,78 +34,16 @@ func main() {
 		for _, b := range bench.All() {
 			fmt.Printf("  %-8s %s\n", b.Name, b.Class)
 		}
-	case *inspect != "":
-		inspectFile(*inspect)
-	case *benchName != "":
+	case *stats && *benchName != "":
 		b, err := bench.ByName(*benchName)
 		if err != nil {
 			fail(err)
 		}
-		if *stats {
-			printStats(b, *n)
-			return
-		}
-		path := *out
-		if path == "" {
-			path = b.Name + ".trace"
-		}
-		if err := generate(b, *n, path); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %d instructions to %s\n", *n, path)
+		printStats(b, *n)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-func generate(b bench.Benchmark, n uint64, path string) error {
-	prog, err := b.Build(0)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w, err := trace.NewWriter(f, b.Name)
-	if err != nil {
-		return err
-	}
-	s := trace.NewStream(prog, b.Params.Seed, 0)
-	for i := uint64(0); i < n; i++ {
-		in, _ := s.Next()
-		if err := w.Write(&in); err != nil {
-			return err
-		}
-	}
-	return w.Flush()
-}
-
-func inspectFile(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fail(err)
-	}
-	defer f.Close()
-	r, err := trace.NewFileReader(f)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("benchmark: %s\n", r.Name())
-	count := uint64(0)
-	for {
-		in, ok := r.Next()
-		if !ok {
-			break
-		}
-		if count < 20 {
-			fmt.Printf("  %6d %v\n", in.Seq, &in)
-		}
-		count++
-	}
-	fmt.Printf("records: %d\n", count)
 }
 
 func printStats(b bench.Benchmark, n uint64) {

@@ -67,11 +67,10 @@ func (r eventRing) clear() {
 // pipeline order) so resources freed in a cycle become usable the next
 // cycle, the conventional discipline for cycle-level simulators. When the
 // machine is provably idle, the clock first fast-forwards over the cycles
-// in which no stage could make progress (see fastForward).
+// in which no stage could make progress (see fastForward). The reference
+// stepper (reference.go) runs the same stages without the shortcuts.
 func (p *Processor) step() {
-	if !p.reference {
-		p.fastForward()
-	}
+	p.fastForward()
 	p.cycle++
 	p.work.Stepped++
 	p.stats.Cycles = p.cycle
@@ -182,9 +181,10 @@ func (p *Processor) fastForward() {
 
 // commitStage retires completed instructions in order from each thread's
 // ROB. Each pipeline has Width total commit bandwidth per cycle, shared
-// among its threads; the starting thread rotates for fairness.
+// among its threads; the starting thread rotates for fairness. Threads
+// whose ROB head cannot have completed are skipped without a peek.
 func (p *Processor) commitStage() {
-	if !p.reference && p.doneCount == 0 {
+	if p.doneCount == 0 {
 		return // nothing has completed since the last commit
 	}
 	for _, b := range p.pipes {
@@ -205,19 +205,26 @@ func (p *Processor) commitStage() {
 				idx -= n
 			}
 			t := p.threads[b.Threads[idx]]
-			if !p.reference && (t.doneUops == 0 || t.headBusy) {
+			if t.doneUops == 0 || t.headBusy {
 				continue // ROB head cannot be completed
 			}
-			for bw > 0 && !t.finished {
-				u := p.doneHead(t)
-				if u == nil {
-					break
-				}
-				p.commitOne(t, u)
-				bw--
-			}
+			bw = p.retire(t, bw)
 		}
 	}
+}
+
+// retire commits t's completed instructions from the head of its ROB, up
+// to bw of them, and returns the commit bandwidth left.
+func (p *Processor) retire(t *thread, bw int) int {
+	for bw > 0 && !t.finished {
+		u := p.doneHead(t)
+		if u == nil {
+			break
+		}
+		p.commitOne(t, u)
+		bw--
+	}
+	return bw
 }
 
 // doneHead returns t's ROB head when it has completed, else nil. A failed
@@ -534,7 +541,7 @@ func (p *Processor) releaseUOp(u *pipeline.UOp) {
 // (oldest-first, IQ then LQ then FQ) and starts them on functional units,
 // up to the pipeline's width.
 //
-// The optimized path scans only the per-queue ready lists, which the
+// Selection scans only the per-queue ready lists, which the
 // wakeup machinery (wakeReg, the issue-timer ring, dispatch registration)
 // keeps current: a uop appears there exactly when its last source has been
 // produced and its front-end delay has elapsed. Ready lists order by
@@ -551,20 +558,7 @@ func (p *Processor) releaseUOp(u *pipeline.UOp) {
 // The entries issued are thus a prefix of the list.
 func (p *Processor) issueStage() {
 	c := p.cycle
-	// Fire the front-end delay timers due this cycle. Ring entries are
-	// exactly the uops whose operands resolved before IssueAt (squashes
-	// remove theirs eagerly), so each one becomes issuable now.
-	slot := p.issueTimers.slot(c)
-	for _, u := range p.issueTimers[slot] {
-		u.TimerQueued = false
-		p.pushReady(u)
-	}
-	p.issueTimers[slot] = p.issueTimers[slot][:0]
-
-	if p.reference {
-		p.issueScanAll(c)
-		return
-	}
+	p.fireIssueTimers(c)
 	if p.readyCount == 0 {
 		return // no queue holds an issuable entry
 	}
@@ -601,97 +595,17 @@ func (p *Processor) issueStage() {
 	}
 }
 
-// issueScanAll is the reference issue selection: poll every queue entry,
-// oldest-first, checking operand readiness against the register file. It
-// must stay behaviourally identical to the ready-list path above; the
-// equivalence tests compare full runs under both.
-func (p *Processor) issueScanAll(c uint64) {
-	extraRF := uint64(p.cfg.Params.RegAccessLatency - 1)
-	for _, b := range p.pipes {
-		budget := b.Model.Width
-		p.queueEntries(b)
-		for _, q := range b.Queues {
-			if budget == 0 {
-				break
-			}
-			budget = p.pollQueue(b, q, p.entryScratch[q.Kind()], c, extraRF, budget)
-		}
+// fireIssueTimers moves the uops whose front-end delay ends at cycle c onto
+// their ready lists. Ring entries are exactly the uops whose operands
+// resolved before IssueAt (squashes remove theirs eagerly), so each one
+// becomes issuable now.
+func (p *Processor) fireIssueTimers(c uint64) {
+	slot := p.issueTimers.slot(c)
+	for _, u := range p.issueTimers[slot] {
+		u.TimerQueued = false
+		p.pushReady(u)
 	}
-}
-
-// queueEntries sorts the entries of b's issue queues into
-// p.entryScratch, one slice per queue kind, each in dispatch order. A
-// queue's entries are the dispatched uops of its class in the reorder
-// buffers of b's threads: every dispatched uop sits in both its queue and
-// its thread's ROB until it issues or is squashed, and its thread stays
-// on its pipeline meanwhile (a migration squashes everything first). Each
-// ROB holds its thread's uops in dispatch order, so one merge of b's ROBs
-// by DispatchSeq visits every queue's entries in the queue's own order.
-// Issuing from one queue changes no other queue's entries, so the sort
-// made before the first queue is polled holds for all three.
-func (p *Processor) queueEntries(b *pipeline.Backend) {
-	for k := range p.entryScratch {
-		p.entryScratch[k] = p.entryScratch[k][:0]
-	}
-	if b.IQ.Len()+b.LQ.Len()+b.FQ.Len() == 0 {
-		return
-	}
-	// next[k] is the ROB position the merge has reached in b.Threads[k].
-	next := p.pollScratch[:0]
-	for range b.Threads {
-		next = append(next, 0)
-	}
-	p.pollScratch = next
-	for u := p.nextEntry(b, nil, next); u != nil; u = p.nextEntry(b, nil, next) {
-		kind := isa.QueueFor(u.Inst.Class)
-		p.entryScratch[kind] = append(p.entryScratch[kind], u)
-	}
-}
-
-// pollQueue offers q's entries, oldest-first, to issue until budget runs
-// out, and returns the budget left. entries are q's entries in dispatch
-// order, as queueEntries sorted them.
-func (p *Processor) pollQueue(b *pipeline.Backend, q *pipeline.IssueQueue, entries []*pipeline.UOp, c, extraRF uint64, budget int) int {
-	if len(entries) < q.Len() {
-		panic(fmt.Sprintf("core: %v of pipeline %d holds %d entries its threads' ROBs do not", q.Kind(), b.Index, q.Len()-len(entries)))
-	}
-	for _, u := range entries[:q.Len()] {
-		if budget == 0 {
-			break
-		}
-		p.work.ReadyVisits++
-		if u.IssueAt > c || !u.Ready(p.rf) || !b.Units.TryIssue(u.Inst.Class, c) {
-			continue
-		}
-		p.issueOne(u, c, extraRF)
-		q.Remove(u)
-		budget--
-	}
-	return budget
-}
-
-// nextEntry returns the oldest dispatched uop the merge has not yet
-// passed — of queue q, or of any queue when q is nil — or nil when none
-// is left, and moves the merge past it. next[k] is the merge's position
-// in the ROB of b.Threads[k], starting at 0.
-func (p *Processor) nextEntry(b *pipeline.Backend, q *pipeline.IssueQueue, next []int) *pipeline.UOp {
-	var u *pipeline.UOp
-	pick := -1
-	for k, tid := range b.Threads {
-		rob := p.threads[tid].rob
-		for ; next[k] < rob.Len(); next[k]++ {
-			if v := rob.At(next[k]); v.Stage == pipeline.StageDispatched && (q == nil || b.QueueFor(v.Inst.Class) == q) {
-				if u == nil || v.DispatchSeq < u.DispatchSeq {
-					u, pick = v, k
-				}
-				break
-			}
-		}
-	}
-	if u != nil {
-		next[pick]++
-	}
-	return u
+	p.issueTimers[slot] = p.issueTimers[slot][:0]
 }
 
 func (p *Processor) issueOne(u *pipeline.UOp, c, extraRF uint64) {
@@ -832,7 +746,7 @@ func (p *Processor) dispatchStage() {
 // flight, or — when every operand is already available — the issue-timer
 // ring (the ready list directly when dispatch was held up past IssueAt;
 // issueStage runs before dispatchStage in a cycle, so it is first
-// considered next cycle, exactly like the reference scan).
+// considered next cycle, exactly like the reference scan, issueScanAll).
 func (p *Processor) watch(u *pipeline.UOp, q *pipeline.IssueQueue) {
 	u.WaitCount = 0
 	for i := range u.Src {

@@ -188,10 +188,12 @@ func TestSteppingEquivalenceDynamicRemap(t *testing.T) {
 
 // TestReferenceSelectionOrder checks the reference selection's view of the
 // issue queues at every cycle of runs that share pipelines between threads:
-// merging a pipeline's ROBs by DispatchSeq must yield exactly as many
-// entries as each queue holds, each a dispatched uop of the queue's class,
-// in strictly ascending dispatch order (the queue's own order), with the
-// queue's ready list a subsequence of them.
+// the per-kind slices queueEntries builds by merging a pipeline's ROBs by
+// DispatchSeq, which the reference selection polls, must hold exactly as
+// many entries as each queue holds, each a dispatched uop of the queue's
+// class, in strictly ascending dispatch order (the queue's own order), with
+// the queue's ready list a subsequence of them. Both steppers must also
+// keep readyCount equal to the ready lists' total length.
 func TestReferenceSelectionOrder(t *testing.T) {
 	for _, tc := range []struct {
 		cfg     string
@@ -206,16 +208,19 @@ func TestReferenceSelectionOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		step := p.stepper()
 		checked := 0
 		for cycle := 0; cycle < 4_000; cycle++ {
-			p.step()
+			step(p)
+			listed := 0
 			for _, b := range p.pipes {
+				p.queueEntries(b)
 				for _, q := range b.Queues {
-					next := make([]int, len(b.Threads))
 					ready := q.Ready()
+					listed += len(ready)
 					var prev *pipeline.UOp
 					n := 0
-					for u := p.nextEntry(b, q, next); u != nil; u = p.nextEntry(b, q, next) {
+					for _, u := range p.entryScratch[q.Kind()] {
 						if u.Stage != pipeline.StageDispatched || b.QueueFor(u.Inst.Class) != q {
 							t.Fatalf("%s cycle %d: %v entry in stage %v, class %v", tc.cfg, p.cycle, q.Kind(), u.Stage, u.Inst.Class)
 						}
@@ -236,6 +241,9 @@ func TestReferenceSelectionOrder(t *testing.T) {
 					}
 					checked += n
 				}
+			}
+			if listed != p.readyCount {
+				t.Fatalf("%s cycle %d: readyCount %d, the ready lists hold %d", tc.cfg, p.cycle, p.readyCount, listed)
 			}
 		}
 		if checked == 0 {

@@ -87,9 +87,9 @@ type Processor struct {
 	// target, so the run loop avoids a per-step scan of every thread.
 	anyFinished bool
 
-	// reference selects the naive stepping path (per-cycle polling of all
-	// issue-queue entries, no idle-cycle fast-forward). Simulated behaviour
-	// is bit-identical to the optimized path; tests assert it.
+	// reference selects the reference stepper (reference.go) in place of
+	// step; only stepper reads it. Simulated behaviour is bit-identical to
+	// the optimized path; tests assert it.
 	reference bool
 
 	// freeUOps recycles retired/squashed uop records (never ones that a
@@ -179,10 +179,13 @@ func WithHierarchy(h *cache.Hierarchy) Option {
 	return func(pr *Processor) { pr.hier = h }
 }
 
-// WithReferenceStepping selects the naive stepping path: issueStage polls
-// every issue-queue entry every cycle and idle cycles are stepped one by
-// one, as the simulator did before the event-driven wakeup scheduler. The
-// simulated machine behaves bit-identically in both modes (asserted by the
+// WithReferenceStepping selects the naive reference stepper
+// (stepReference, in reference.go): issue polls every issue-queue entry
+// every cycle, commit peeks every ROB head, and idle cycles are stepped
+// one by one, as the simulator did before the event-driven wakeup
+// scheduler. Run and the sampled loops pick the stepper once; the
+// production stages of cycle.go never test the mode. The simulated
+// machine behaves bit-identically under both steppers (asserted by the
 // equivalence tests); the reference path exists as the oracle for those
 // tests and for before/after performance measurement.
 func WithReferenceStepping() Option {
@@ -544,9 +547,10 @@ func (p *Processor) Run(maxPerThread uint64) (Results, error) {
 	// per 600 cycles.
 	cycleCap := (p.warmup+maxPerThread)*600*uint64(len(p.threads)) + 1_000_000
 
+	step := p.stepper()
 	if p.warmup > 0 {
 		for {
-			p.step()
+			step(p)
 			allWarm := true
 			for _, t := range p.threads {
 				if t.committed < p.warmup {
@@ -574,7 +578,7 @@ func (p *Processor) Run(maxPerThread uint64) (Results, error) {
 	}
 
 	for {
-		p.step()
+		step(p)
 		if p.anyFinished {
 			break
 		}

@@ -349,6 +349,7 @@ func (p *Processor) warmInterleaved(counts []uint64) {
 func (p *Processor) sampleDetailed(sp SampleParams, pipeBacking []PipeActivity) (SampleInterval, error) {
 	cycleCap := p.cycle + (sp.Warm+sp.Detail)*600*uint64(len(p.threads)) + 1_000_000
 	scratch := p.sampleScratch
+	step := p.stepper()
 	if sp.Warm > 0 {
 		// Like the measured window, warm-up follows the leader: it ends when
 		// the first thread retires sp.Warm instructions. Waiting for every
@@ -372,7 +373,7 @@ func (p *Processor) sampleDetailed(sp SampleParams, pipeBacking []PipeActivity) 
 			scratch[i] = t.committed + sp.Warm
 		}
 		for {
-			p.step()
+			step(p)
 			warm := p.cycle >= floor
 			if warm {
 				warm = false
@@ -409,7 +410,7 @@ func (p *Processor) sampleDetailed(sp SampleParams, pipeBacking []PipeActivity) 
 	p.horizon = windowFloor
 	disarmed := false
 	for {
-		p.step()
+		step(p)
 		if disarmed {
 			if p.cycle >= windowFloor {
 				break
@@ -455,7 +456,8 @@ func (p *Processor) sampleDetailed(sp SampleParams, pipeBacking []PipeActivity) 
 // commit. The uop pool absorbs every record — nothing is reallocated for
 // the next interval. Rename maps and the register file return to their
 // empty/architectural state through the ordinary squash path, so their
-// invariants hold by construction.
+// invariants hold by construction. It runs the same on both steppers and
+// checks the scheduler counters both keep.
 func (p *Processor) drainInflight() {
 	for _, t := range p.threads {
 		p.squashAllOf(t)
@@ -491,14 +493,11 @@ func (p *Processor) drainInflight() {
 	p.completions.clear()
 	p.flushAt.clear()
 	p.issueTimers.clear()
-	// The reference stepping path polls queues directly and lets readyCount
-	// drift (it is an optimized-path fast-out only), so the invariant check
-	// applies to the optimized path; after a drain the queues are empty, so
-	// zero is the true count on both paths.
-	if !p.reference && (p.readyCount != 0 || p.doneCount != 0) {
+	// Both steppers keep readyCount and doneCount exact, and the queues
+	// and ROBs are now empty, so anything but zero is a bookkeeping bug.
+	if p.readyCount != 0 || p.doneCount != 0 {
 		panic(fmt.Sprintf("core: nonzero scheduler counts after drain (ready=%d done=%d)", p.readyCount, p.doneCount))
 	}
-	p.readyCount, p.doneCount = 0, 0
 }
 
 // alignFetch repositions every thread's fetch engine at the oldest

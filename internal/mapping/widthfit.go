@@ -9,7 +9,7 @@ import (
 
 // WidthFit is an improved heuristic developed in this reproduction (an
 // extension beyond the paper). The §2.1 policy has two measurable
-// weaknesses (see EXPERIMENTS.md): step 4 dedicates the widest pipeline to
+// weaknesses: step 4 dedicates the widest pipeline to
 // the cleanest thread even when that strands capacity, and the "adjacent
 // threads behave similarly" assumption pairs an ILP thread with a MEM
 // thread whenever the sorted miss list crosses the class boundary.

@@ -4,14 +4,6 @@ import (
 	"hdsmt/internal/isa"
 )
 
-// Reader is a source of correct-path dynamic instructions in program order.
-type Reader interface {
-	// Next returns the next dynamic instruction. ok is false when the
-	// source is exhausted (streams over a Program never exhaust; file
-	// readers do).
-	Next() (isa.Instruction, bool)
-}
-
 // maxCallDepth bounds the stream's simulated call stack; deeper calls simply
 // drop the oldest frame, like a RAS would.
 const maxCallDepth = 64

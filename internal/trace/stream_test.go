@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"errors"
 	"testing"
 
 	"hdsmt/internal/isa"
@@ -243,128 +241,12 @@ func TestMaterializeStackAddressesBounded(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	p := mustBuild(t, testParams(6))
-	s := NewStream(p, 13, 0x2000000)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "testbench")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var orig []isa.Instruction
-	for i := 0; i < 2000; i++ {
-		in, _ := s.Next()
-		orig = append(orig, in)
-		if err := w.Write(&in); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Count() != 2000 {
-		t.Errorf("Count = %d", w.Count())
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := NewFileReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Name() != "testbench" {
-		t.Errorf("name = %q", r.Name())
-	}
-	for i, want := range orig {
-		got, ok := r.Next()
-		if !ok {
-			t.Fatalf("reader ended at %d", i)
-		}
-		if got != want {
-			t.Fatalf("record %d: got %+v want %+v", i, got, want)
-		}
-	}
-	if _, ok := r.Next(); ok {
-		t.Error("reader should be exhausted")
-	}
-}
-
-func TestFileReaderBadMagic(t *testing.T) {
-	if _, err := NewFileReader(bytes.NewReader([]byte("NOTATRACE..."))); err == nil {
-		t.Error("expected error for bad magic")
-	}
-	if _, err := NewFileReader(bytes.NewReader(nil)); err == nil {
-		t.Error("expected error for empty input")
-	}
-}
-
 func BenchmarkStreamNext(b *testing.B) {
 	p := mustBuild(b, testParams(1))
 	s := NewStream(p, 1, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Next()
-	}
-}
-
-func TestWriterPropagatesErrors(t *testing.T) {
-	w, err := NewWriter(failWriter{}, "x")
-	if err == nil {
-		// Header may be buffered; the flush must surface the failure.
-		in := isa.Instruction{PC: 4, Class: isa.IntALU}
-		_ = w.Write(&in)
-		if w.Flush() == nil {
-			t.Error("flush to failing writer must error")
-		}
-	}
-}
-
-type failWriter struct{}
-
-func (failWriter) Write(p []byte) (int, error) { return 0, errWrite }
-
-var errWrite = errors.New("synthetic write failure")
-
-func TestFileReaderTruncatedRecord(t *testing.T) {
-	p := mustBuild(t, testParams(8))
-	s := NewStream(p, 1, 0)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		in, _ := s.Next()
-		if err := w.Write(&in); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Chop the last record mid-way: the reader must stop cleanly.
-	data := buf.Bytes()
-	r, err := NewFileReader(bytes.NewReader(data[:len(data)-3]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		if _, ok := r.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 2 {
-		t.Errorf("read %d whole records from truncated file, want 2", n)
-	}
-}
-
-func TestFileReaderHugeNameRejected(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString("HDSMTTR1")
-	// Name length varint far beyond the sanity cap.
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, 0x7f})
-	if _, err := NewFileReader(&buf); err == nil {
-		t.Error("unreasonable name length must be rejected")
 	}
 }
 
