@@ -301,11 +301,17 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(committed)/b.Elapsed().Seconds(), "sim-instrs/s")
 }
 
-// BenchmarkProfilePass measures the offline profiling pass feeding HEUR.
+// BenchmarkProfilePass measures the offline profiling pass feeding HEUR:
+// every benchmark built and profiled over bench.ProfileLen instructions,
+// uncached, on one goroutine.
 func BenchmarkProfilePass(b *testing.B) {
+	bs := bench.All()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.DCacheMisses(bench.MustByName("twolf"), 50_000); err != nil {
-			b.Fatal(err)
+		for _, bm := range bs {
+			if _, err := bench.CountDCacheMisses(bm, bench.ProfileLen); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -55,8 +55,9 @@ func printStats(b bench.Benchmark, n uint64) {
 	counts := map[isa.Class]uint64{}
 	taken := uint64(0)
 	var branches uint64
+	var in isa.Instruction
 	for i := uint64(0); i < n; i++ {
-		in, _ := s.Next()
+		s.NextInto(&in)
 		counts[in.Class]++
 		if in.Class == isa.Branch {
 			branches++

@@ -209,8 +209,9 @@ func TestStreamsExecuteFPForEon(t *testing.T) {
 	p, _ := b.Build(0)
 	s := trace.NewStream(p, b.Params.Seed, 0)
 	fp := 0
+	var in isa.Instruction
 	for i := 0; i < 20000; i++ {
-		in, _ := s.Next()
+		s.NextInto(&in)
 		if in.Class.IsFP() {
 			fp++
 		}
@@ -226,8 +227,9 @@ func TestBranchClassesPresent(t *testing.T) {
 		p, _ := b.Build(0)
 		s := trace.NewStream(p, b.Params.Seed, 0)
 		branches := 0
+		var in isa.Instruction
 		for i := 0; i < 5000; i++ {
-			in, _ := s.Next()
+			s.NextInto(&in)
 			if in.Class == isa.Branch {
 				branches++
 			}
@@ -241,10 +243,7 @@ func TestBranchClassesPresent(t *testing.T) {
 func BenchmarkProfileMcf(b *testing.B) {
 	mcf := MustByName("mcf")
 	for i := 0; i < b.N; i++ {
-		profileMu.Lock()
-		delete(profileCache, profileKey{"mcf", 50_000})
-		profileMu.Unlock()
-		if _, err := DCacheMisses(mcf, 50_000); err != nil {
+		if _, err := CountDCacheMisses(mcf, 50_000); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"hdsmt/internal/bench"
 	"hdsmt/internal/config"
 	"hdsmt/internal/fetch"
+	"hdsmt/internal/isa"
 	"hdsmt/internal/trace"
 )
 
@@ -329,20 +330,22 @@ func TestTraceReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := ThreadSpec{Name: "gcc", Program: prog, Seed: b.Params.Seed, DataBase: 0x10000000}
+	ref := trace.NewStream(prog, spec.Seed, spec.DataBase)
+	var want isa.Instruction
+	hook := func(_ int, in isa.Instruction) {
+		ref.NextInto(&want)
+		if in != want {
+			t.Fatalf("commit %d: got %+v, trace has %+v", want.Seq, in, want)
+		}
+	}
 	cfg := config.MustParse("M8")
-	p, err := New(cfg, []ThreadSpec{spec}, []int{0})
+	p, err := New(cfg, []ThreadSpec{spec}, []int{0}, WithCommitHook(hook))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 4_000
 	if _, err := p.Run(n); err != nil {
 		t.Fatal(err)
-	}
-	// Regenerate the reference stream.
-	ref := trace.NewStream(prog, spec.Seed, spec.DataBase)
-	for i := 0; i < n; i++ {
-		want, _ := ref.Next()
-		_ = want
 	}
 	// The thread's stream consumed at least n instructions and its
 	// committed count is exactly n.

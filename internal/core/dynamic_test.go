@@ -31,7 +31,8 @@ func TestMigrationPreservesCommitSequence(t *testing.T) {
 		refs[i] = trace.NewStream(s.Program, s.Seed, s.DataBase)
 	}
 	hook := func(tid int, in isa.Instruction) {
-		want, _ := refs[tid].Next()
+		var want isa.Instruction
+		refs[tid].NextInto(&want)
 		if in != want {
 			t.Fatalf("thread %d diverged at seq %d after migrations", tid, in.Seq)
 		}

@@ -38,7 +38,8 @@ func TestCommitSequenceEqualsTrace(t *testing.T) {
 			if bad {
 				return
 			}
-			want, _ := refs[tid].Next()
+			var want isa.Instruction
+			refs[tid].NextInto(&want)
 			if in != want {
 				t.Errorf("%s thread %d commit %d: got %+v want %+v",
 					tc.cfgName, tid, next[tid], in, want)
@@ -73,7 +74,8 @@ func TestCommitSequenceWithWarmup(t *testing.T) {
 		refs[i] = trace.NewStream(s.Program, s.Seed, s.DataBase)
 	}
 	hook := func(tid int, in isa.Instruction) {
-		want, _ := refs[tid].Next()
+		var want isa.Instruction
+		refs[tid].NextInto(&want)
 		if in != want {
 			t.Fatalf("thread %d diverged at seq %d", tid, in.Seq)
 		}

@@ -290,7 +290,7 @@ func (p *Processor) skipThread(t *thread, n uint64) {
 	if n == 0 {
 		return
 	}
-	t.stream.Advance(n, ctl)
+	t.stream.Advance(n, ctl, nil)
 	t.committed += n
 	t.buf = t.buf[:0]
 	t.bufBase = t.committed

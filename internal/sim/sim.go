@@ -154,37 +154,31 @@ func DefaultMapping(cfg config.Microarch, w workload.Workload) (mapping.Mapping,
 
 // HeuristicMapping computes the §2.1 profile-guided mapping for w on cfg.
 func HeuristicMapping(cfg config.Microarch, w workload.Workload) (mapping.Mapping, error) {
-	bs, err := w.Resolve()
+	misses, err := profile(w)
 	if err != nil {
 		return nil, err
 	}
-	misses := make([]uint64, len(bs))
-	for i, b := range bs {
-		m, err := bench.DCacheMisses(b, bench.ProfileLen)
-		if err != nil {
-			return nil, err
-		}
-		misses[i] = m
-	}
-	return mapping.Heuristic(cfg.ForThreads(len(bs)), misses)
+	return mapping.Heuristic(cfg.ForThreads(len(misses)), misses)
 }
 
 // WidthFitMapping computes the extension WidthFit mapping (see
 // mapping.WidthFit) from the same profile data HEUR uses.
 func WidthFitMapping(cfg config.Microarch, w workload.Workload) (mapping.Mapping, error) {
+	misses, err := profile(w)
+	if err != nil {
+		return nil, err
+	}
+	return mapping.WidthFit(cfg.ForThreads(len(misses)), misses)
+}
+
+// profile returns the HEUR profile of w's threads, in thread order: each
+// benchmark's L1D misses over bench.ProfileLen instructions.
+func profile(w workload.Workload) ([]uint64, error) {
 	bs, err := w.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	misses := make([]uint64, len(bs))
-	for i, b := range bs {
-		m, err := bench.DCacheMisses(b, bench.ProfileLen)
-		if err != nil {
-			return nil, err
-		}
-		misses[i] = m
-	}
-	return mapping.WidthFit(cfg.ForThreads(len(bs)), misses)
+	return bench.MissCounts(bs, bench.ProfileLen)
 }
 
 // Measurement is one (configuration, workload) cell of Figs. 4/5: the

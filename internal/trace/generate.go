@@ -96,7 +96,6 @@ func BuildProgram(g GenParams) (*Program, error) {
 		return nil, err
 	}
 	rng := NewRand(Mix(g.Seed, 0xb10c5))
-	p := &Program{Name: g.Name}
 
 	totalBlocks := g.NumBlocks + g.NumFuncs
 	lengths := make([]int, totalBlocks)
@@ -110,6 +109,15 @@ func BuildProgram(g GenParams) (*Program, error) {
 		starts[i] = pc
 		pc += uint64(n+1) * isa.InstrBytes
 	}
+	// Every length is known now: the blocks and their instructions each
+	// take one allocation, and each block's slice is capped at its own
+	// length so no append can spill into its neighbour.
+	p := &Program{Name: g.Name, Blocks: make([]*Block, totalBlocks)}
+	if g.NumFuncs > 0 {
+		p.Entries = make([]int, 0, g.NumFuncs)
+	}
+	blocks := make([]Block, totalBlocks)
+	insts := make([]StaticInst, (pc-g.CodeBase)/isa.InstrBytes)
 
 	// Rolling window of recent destination registers for dependence wiring.
 	recentInt := newRegWindow(g.DepWindow)
@@ -206,7 +214,8 @@ func BuildProgram(g GenParams) (*Program, error) {
 	}
 
 	for bi := 0; bi < totalBlocks; bi++ {
-		blk := &Block{}
+		blk := &blocks[bi]
+		insts, blk.Insts = insts[lengths[bi]+1:], insts[:0:lengths[bi]+1]
 		pc := starts[bi]
 		for k := 0; k < lengths[bi]; k++ {
 			blk.Insts = append(blk.Insts, bodyInst(pc))
@@ -252,7 +261,7 @@ func BuildProgram(g GenParams) (*Program, error) {
 			}
 		}
 		blk.Insts = append(blk.Insts, term)
-		p.Blocks = append(p.Blocks, blk)
+		p.Blocks[bi] = blk
 		if isFunc {
 			p.Entries = append(p.Entries, bi)
 		}

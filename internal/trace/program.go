@@ -130,6 +130,11 @@ type Program struct {
 
 // finalize builds the dictionary index; called once by the builder.
 func (p *Program) finalize() {
+	n := 0
+	for _, b := range p.Blocks {
+		n += len(b.Insts)
+	}
+	p.insts = make([]*StaticInst, 0, n)
 	first := true
 	for _, b := range p.Blocks {
 		for i := range b.Insts {

@@ -304,3 +304,17 @@ func TestMemPatternString(t *testing.T) {
 		t.Error("unknown mem pattern string empty")
 	}
 }
+
+// BenchmarkBuildProgram measures constructing one program of a SPECint
+// benchmark's shape (160 body blocks, 12 functions, 4–12 instructions per
+// block); run it with -benchmem to see the allocations.
+func BenchmarkBuildProgram(b *testing.B) {
+	g := testParams(1)
+	g.NumBlocks, g.NumFuncs, g.BlockMin, g.BlockMax = 160, 12, 4, 12
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildProgram(g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

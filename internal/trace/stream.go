@@ -70,18 +70,10 @@ func (s *Stream) Program() *Program { return s.prog }
 // Seq returns the number of instructions generated so far.
 func (s *Stream) Seq() uint64 { return s.seq }
 
-// Next generates the next correct-path instruction. A Stream never runs
-// out.
-func (s *Stream) Next() (isa.Instruction, bool) {
-	var in isa.Instruction
-	s.NextInto(&in)
-	return in, true
-}
-
 // NextInto generates the next correct-path instruction directly into dst,
 // sparing the caller a ~100-byte struct copy on the simulator's hottest
-// producer path. The walk follows the successor indices finalize resolved
-// — no per-instruction dictionary lookup.
+// producer path. A Stream never runs out. The walk follows the successor
+// indices finalize resolved — no per-instruction dictionary lookup.
 func (s *Stream) NextInto(dst *isa.Instruction) {
 	if s.cur < 0 {
 		// Control flow can only reach addresses inside the program (the
@@ -132,15 +124,23 @@ func (s *Stream) NextInto(dst *isa.Instruction) {
 // warm through a skip without materializing the stream.
 type ControlFunc func(class isa.Class, pc, target uint64, taken bool)
 
+// MemFunc observes a load or store the stream advances past: its class,
+// its sequence number and its effective address — the values NextInto
+// would have written to Class, Seq and EffAddr. Advance calls it so a
+// profiler can drive a cache model without materializing the stream.
+type MemFunc func(class isa.Class, seq, addr uint64)
+
 // Advance skips n instructions: execution counts, the call stack and
-// control flow advance exactly as n Next calls would, but no instruction
-// is materialized — no effective addresses, no register fields, no struct
-// writes. Memory instructions skip their address hash entirely, so this
-// runs several times faster than Next. It is the unwarmed fast-forward
-// path of sampled execution; a Stream that Advances past a region yields
-// the identical sequence afterwards. When ctl is non-nil it receives
-// every control-flow instruction in order.
-func (s *Stream) Advance(n uint64, ctl ControlFunc) {
+// control flow advance exactly as n NextInto calls would, but no
+// instruction is materialized — no register fields, no struct writes. With
+// mem nil, memory instructions skip their address hash entirely, so this
+// runs several times faster than NextInto. It is the unwarmed
+// fast-forward path of sampled execution and, with mem set, the HEUR
+// profile pass; a Stream that Advances past a region yields the identical
+// sequence afterwards. When ctl is non-nil it receives every control-flow
+// instruction in order; when mem is non-nil it receives every load and
+// store in order.
+func (s *Stream) Advance(n uint64, ctl ControlFunc, mem MemFunc) {
 	for ; n > 0; n-- {
 		if s.cur < 0 {
 			panic("trace: stream escaped the program")
@@ -194,6 +194,10 @@ func (s *Stream) Advance(n uint64, ctl ControlFunc) {
 			}
 			if ctl != nil {
 				ctl(isa.Return, st.PC, target, true)
+			}
+		case isa.Load, isa.Store:
+			if mem != nil {
+				mem(st.Class, s.seq-1, memAddr(st, s.seed, s.base, count))
 			}
 		}
 		s.cur = next

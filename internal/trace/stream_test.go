@@ -6,13 +6,20 @@ import (
 	"hdsmt/internal/isa"
 )
 
+// next returns the stream's next instruction.
+func next(s *Stream) isa.Instruction {
+	var in isa.Instruction
+	s.NextInto(&in)
+	return in
+}
+
 func TestStreamDeterminism(t *testing.T) {
 	p := mustBuild(t, testParams(1))
 	a := NewStream(p, 99, 0x10000)
 	b := NewStream(p, 99, 0x10000)
 	for i := 0; i < 5000; i++ {
-		x, _ := a.Next()
-		y, _ := b.Next()
+		x := next(a)
+		y := next(b)
 		if x != y {
 			t.Fatalf("streams diverged at %d: %v vs %v", i, &x, &y)
 		}
@@ -29,14 +36,14 @@ func TestStreamRestart(t *testing.T) {
 	s := NewStream(progs[0], 7, 0x20000)
 	for i, p := range progs {
 		for k := 0; k < 3_000; k++ {
-			s.Next()
+			next(s)
 		}
 		seed, base := uint64(11+i), uint64(0x10000*(i+1))
 		s.Restart(p, seed, base)
 		fresh := NewStream(p, seed, base)
 		for k := 0; k < 5_000; k++ {
-			x, _ := s.Next()
-			y, _ := fresh.Next()
+			x := next(s)
+			y := next(fresh)
 			if x != y {
 				t.Fatalf("program %d: restarted stream diverged at %d: %v vs %v", i, k, &x, &y)
 			}
@@ -45,7 +52,7 @@ func TestStreamRestart(t *testing.T) {
 }
 
 // TestStreamAdvanceEquivalence: Advance(n) leaves the stream in exactly
-// the state n Next calls would — the instructions generated afterwards are
+// the state n NextInto calls would — the instructions generated afterwards are
 // identical, at every alignment relative to loops, calls and returns.
 func TestStreamAdvanceEquivalence(t *testing.T) {
 	p := mustBuild(t, testParams(1))
@@ -53,15 +60,15 @@ func TestStreamAdvanceEquivalence(t *testing.T) {
 		a := NewStream(p, 99, 0x10000)
 		b := NewStream(p, 99, 0x10000)
 		for i := uint64(0); i < skip; i++ {
-			a.Next()
+			next(a)
 		}
-		b.Advance(skip, nil)
+		b.Advance(skip, nil, nil)
 		if a.Seq() != b.Seq() {
 			t.Fatalf("skip %d: Seq %d vs %d", skip, a.Seq(), b.Seq())
 		}
 		for i := 0; i < 2000; i++ {
-			x, _ := a.Next()
-			y, _ := b.Next()
+			x := next(a)
+			y := next(b)
 			if x != y {
 				t.Fatalf("skip %d: streams diverged %d instructions later: %v vs %v", skip, i, &x, &y)
 			}
@@ -75,8 +82,8 @@ func TestStreamSeedsDiffer(t *testing.T) {
 	b := NewStream(p, 2, 0)
 	diff := false
 	for i := 0; i < 5000 && !diff; i++ {
-		x, _ := a.Next()
-		y, _ := b.Next()
+		x := next(a)
+		y := next(b)
 		if x != y {
 			diff = true
 		}
@@ -89,15 +96,9 @@ func TestStreamSeedsDiffer(t *testing.T) {
 func TestStreamFollowsControlFlow(t *testing.T) {
 	p := mustBuild(t, testParams(2))
 	s := NewStream(p, 7, 0)
-	prev, ok := s.Next()
-	if !ok {
-		t.Fatal("stream empty")
-	}
+	prev := next(s)
 	for i := 0; i < 20000; i++ {
-		in, ok := s.Next()
-		if !ok {
-			t.Fatal("stream ended")
-		}
+		in := next(s)
 		if in.PC != prev.NextPC() {
 			t.Fatalf("at seq %d: pc %#x does not follow %v", in.Seq, in.PC, &prev)
 		}
@@ -109,7 +110,7 @@ func TestStreamSeqMonotonic(t *testing.T) {
 	p := mustBuild(t, testParams(2))
 	s := NewStream(p, 7, 0)
 	for i := uint64(0); i < 1000; i++ {
-		in, _ := s.Next()
+		in := next(s)
 		if in.Seq != i {
 			t.Fatalf("seq %d at position %d", in.Seq, i)
 		}
@@ -125,7 +126,7 @@ func TestStreamAddressesWithinSpace(t *testing.T) {
 	s := NewStream(p, 3, base)
 	seen := 0
 	for i := 0; i < 50000; i++ {
-		in, _ := s.Next()
+		in := next(s)
 		if !in.Class.IsMem() {
 			continue
 		}
@@ -151,7 +152,7 @@ func TestStreamCallReturnPairing(t *testing.T) {
 	var stack []uint64
 	returns, matched := 0, 0
 	for i := 0; i < 200000; i++ {
-		in, _ := s.Next()
+		in := next(s)
 		switch in.Class {
 		case isa.Call:
 			stack = append(stack, in.FallThrough())
@@ -244,9 +245,10 @@ func TestMaterializeStackAddressesBounded(t *testing.T) {
 func BenchmarkStreamNext(b *testing.B) {
 	p := mustBuild(b, testParams(1))
 	s := NewStream(p, 1, 0)
+	var in isa.Instruction
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Next()
+		s.NextInto(&in)
 	}
 }
 
