@@ -17,6 +17,7 @@ import (
 	"hdsmt/internal/mapping"
 	"hdsmt/internal/metrics"
 	"hdsmt/internal/perf"
+	"hdsmt/internal/search"
 	"hdsmt/internal/sim"
 	"hdsmt/internal/workload"
 )
@@ -447,25 +448,22 @@ func BenchmarkDynamicMapping(b *testing.B) {
 	b.ReportMetric(float64(r.Migrations), "migrations")
 }
 
-// BenchmarkDesignSpaceExplore measures the extension design-space search
-// over small candidates.
+// BenchmarkDesignSpaceExplore measures the extension design-space search:
+// an exhaustive enumeration of the machines of at most two pipelines.
 func BenchmarkDesignSpaceExplore(b *testing.B) {
-	cands, err := sim.CandidateConfigs(2, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wls := []workload.Workload{workload.MustByName("2W7")}
-	var rs []sim.ExploreResult
+	sp := search.NewSpace(2, 0, []workload.Workload{workload.MustByName("2W7")})
+	var res *search.Result
 	for i := 0; i < b.N; i++ {
 		r := coldRunner(b)
-		rs, err = r.Explore(context.Background(), wls, cands, benchOptions(), nil)
+		var err error
+		res, err = search.NewDriver(r).Search(context.Background(), sp, search.Exhaustive{}, search.Options{Sim: benchOptions()})
 		r.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	if len(rs) == 0 || rs[0].Skipped {
-		b.Fatal("exploration produced no ranking")
+	if res.Best == nil {
+		b.Fatal("exploration found no feasible machine")
 	}
-	b.ReportMetric(rs[0].PerArea*1000, "best-mIPC/mm2")
+	b.ReportMetric(res.Best.Metric("per_area")*1000, "best-mIPC/mm2")
 }

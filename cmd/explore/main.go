@@ -2,16 +2,20 @@
 // performance-per-area machine — the paper's complexity-effectiveness
 // objective as a search.
 //
-// The default strategy, exhaustive, enumerates every multiset of M6/M4/M2
-// pipelines under an area budget (plus the monolithic M8 baseline),
-// evaluates each candidate over a workload set with the §2.1 heuristic
-// mapping, and prints the full ranking — the cross-check baseline.
+// Every run goes through internal/search and prints the best-so-far
+// trajectory, the best machine and the search's simulation cost. The
+// default strategy, exhaustive, enumerates every multiset of M6/M4/M2
+// pipelines under an area budget and evaluates each over a workload set
+// with the §2.1 heuristic mapping — the cross-check baseline. It also
+// prints the monolithic M8 baseline on the same workloads as a reference
+// line (area, harmonic-mean IPC, IPC/mm²); M8 is not a point of the
+// multipipeline space.
 //
 // The metaheuristic strategies (random, hillclimb, aco and their
-// proxy-seeded variants; internal/search) instead walk an enriched space —
-// pipeline multiset × fetch policy × dynamic-remap interval × issue-queue
-// and decoupling-buffer sizing — under an evaluation budget, and print the
-// best-so-far trajectory. A fixed -seed reproduces a search exactly.
+// proxy-seeded variants) walk the same space under an evaluation budget,
+// usually widened (-enriched or explicit axes) to fetch policy ×
+// dynamic-remap interval × issue-queue and decoupling-buffer sizing. A
+// fixed -seed reproduces a search exactly.
 //
 // -objectives turns the run multi-objective (internal/pareto): the driver
 // keeps an archive of non-dominated machines, the multi-objective
@@ -40,6 +44,8 @@ import (
 	"strings"
 	"time"
 
+	"hdsmt/internal/area"
+	"hdsmt/internal/config"
 	"hdsmt/internal/engine"
 	"hdsmt/internal/metrics"
 	"hdsmt/internal/pareto"
@@ -64,7 +70,7 @@ func main() {
 		remaps    = flag.String("remap", "", "comma-separated dynamic-remap intervals in cycles (0 = static)")
 		qscales   = flag.String("qscales", "", "comma-separated issue/load-queue scales in percent")
 		fbscales  = flag.String("fbscales", "", "comma-separated decoupling-buffer scales in percent")
-		out       = flag.String("out", "", "also write the result to this JSON file (search trajectory, or the exhaustive ranking)")
+		out       = flag.String("out", "", "also write the search result (trajectory, best machine, cost) to this JSON file")
 		objs      = flag.String("objectives", "", "comma-separated multi-objective axes (2+ registered metrics, e.g. ipc,area,fairness,energy; empty = scalar IPC/mm²)")
 		archive   = flag.Int("archive", 0, "non-dominated archive capacity (0 = default; crowding pruning beyond it)")
 		frontCSV  = flag.String("frontcsv", "", "write the Pareto front to this CSV file (multi-objective runs)")
@@ -103,16 +109,6 @@ func main() {
 	var tracer *telemetry.Tracer
 	if *tracePath != "" {
 		tracer = telemetry.NewTracer()
-	}
-
-	// The legacy table (CandidateConfigs + Runner.Explore, M8 baseline
-	// included) serves plain exhaustive runs — -out then writes the
-	// ranking JSON; any enriched axis or objective list routes through
-	// internal/search.
-	if *strategy == "exhaustive" && !*enriched && *objs == "" &&
-		*policies == "" && *remaps == "" && *qscales == "" && *fbscales == "" {
-		exhaustive(wls, *maxPipes, *areaCap, opt, *out, reg, tracer, *tracePath, *quiet)
-		return
 	}
 
 	st, err := search.ByName(*strategy)
@@ -194,6 +190,13 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	// An exhaustive run is ranked against the monolithic baseline, which
+	// the multipipeline space does not hold. Its jobs run before the trace
+	// is written, so the trace covers them too.
+	var m8Area, m8IPC float64
+	if *strategy == "exhaustive" {
+		m8Area, m8IPC = m8Reference(runner, wls, opt)
+	}
 	writeTrace(tracer, *tracePath)
 
 	fmt.Println("\nbest-so-far trajectory:")
@@ -206,6 +209,9 @@ func main() {
 		fmt.Println("no feasible machine found")
 	} else {
 		fmt.Printf("\nbest: %s  IPC/mm² %.5f after %d evaluations\n", res.Best.Name(), res.Best.Metric("per_area"), res.Best.Evaluations)
+	}
+	if m8Area > 0 {
+		fmt.Printf("M8 reference: area %.2f mm²  IPC %.3f  IPC/mm² %.5f\n", m8Area, m8IPC, m8IPC/m8Area)
 	}
 	printFront(res)
 	fmt.Printf("cost: %d evaluations, %d simulations executed, %d submitted, cache-hit rate %.1f%%\n",
@@ -306,37 +312,27 @@ func writeJSON(path string, v any) {
 	fmt.Printf("result written to %s\n", path)
 }
 
-// exhaustive is the legacy cross-check baseline: CandidateConfigs +
-// sim.Runner.Explore (M8 baseline included) with the telemetry-fed progress
-// line. out, when non-empty, receives the full ranking as JSON.
-func exhaustive(wls []workload.Workload, maxPipes int, areaCap float64, opt sim.Options, out string,
-	reg *telemetry.Registry, tracer *telemetry.Tracer, tracePath string, quiet bool) {
-	cands, err := sim.CandidateConfigs(maxPipes, areaCap)
+// m8Reference simulates the monolithic M8 baseline on every workload under
+// the default mapping and returns its area and harmonic-mean IPC.
+func m8Reference(runner *sim.Runner, wls []workload.Workload, opt sim.Options) (areaMM2, ipc float64) {
+	m8 := config.MustParse("M8")
+	reqs := make([]engine.Request, len(wls))
+	for i, w := range wls {
+		req, err := sim.NewRequest(m8, w, opt, "", 0)
+		if err != nil {
+			fail(err)
+		}
+		reqs[i] = req
+	}
+	results, err := runner.Engine().RunBatch(context.Background(), reqs)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("exploring %d candidate configurations over %d workloads...\n\n", len(cands), len(wls))
-
-	runner, err := sim.NewRunner(engine.Options{Telemetry: reg, Tracer: tracer})
-	if err != nil {
-		fail(err)
+	ipcs := make([]float64, len(results))
+	for i, r := range results {
+		ipcs[i] = r.IPC
 	}
-	defer runner.Close()
-	var rep *telemetry.Reporter
-	if !quiet {
-		rep = telemetry.StartReporter(os.Stderr, reg, 2*time.Second)
-	}
-	rep.SetTotal(len(cands) * len(wls))
-	rs, err := runner.Explore(context.Background(), wls, cands, opt, func(int) {})
-	rep.Stop()
-	if err != nil {
-		fail(err)
-	}
-	writeTrace(tracer, tracePath)
-	fmt.Print(sim.RenderExploration(rs))
-	if out != "" {
-		writeJSON(out, rs)
-	}
+	return area.MustTotal(m8), metrics.HMean(ipcs)
 }
 
 // writeTrace flushes the recorded spans to path (no-op when tracing is

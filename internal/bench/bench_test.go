@@ -165,24 +165,6 @@ func TestDCacheMissesMemoized(t *testing.T) {
 	}
 }
 
-func TestProfileAllSorted(t *testing.T) {
-	ps, err := ProfileAll(All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 12 {
-		t.Fatalf("profiles = %d", len(ps))
-	}
-	for i := 1; i < len(ps); i++ {
-		if ps[i-1].Misses > ps[i].Misses {
-			t.Error("ProfileAll must sort ascending by misses")
-		}
-	}
-	if ps[len(ps)-1].Benchmark.Name != "mcf" {
-		t.Errorf("heaviest misser = %s, want mcf", ps[len(ps)-1].Benchmark.Name)
-	}
-}
-
 func TestILPBenchmarksHaveWiderDepWindows(t *testing.T) {
 	// ILP class must genuinely model more instruction-level parallelism.
 	sumILP, nILP, sumMEM, nMEM := 0, 0, 0, 0

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -121,28 +120,5 @@ func MissCounts(bs []Benchmark, n int) ([]uint64, error) {
 		}
 		out[i] = m
 	}
-	return out, nil
-}
-
-// Profile is one benchmark's profiling summary.
-type Profile struct {
-	Benchmark Benchmark
-	Misses    uint64
-}
-
-// ProfileAll profiles every given benchmark over the standard run length and
-// returns the results sorted by ascending miss count — the order of the
-// mapping policy's thread list T ("the first thread in T is the one with the
-// lesser number of misses").
-func ProfileAll(bs []Benchmark) ([]Profile, error) {
-	misses, err := MissCounts(bs, ProfileLen)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Profile, len(bs))
-	for i, b := range bs {
-		out[i] = Profile{Benchmark: b, Misses: misses[i]}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Misses < out[j].Misses })
 	return out, nil
 }

@@ -10,8 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"hdsmt/internal/area"
 	"hdsmt/internal/config"
 	"hdsmt/internal/engine"
+	"hdsmt/internal/metrics"
 	"hdsmt/internal/sim"
 	"hdsmt/internal/workload"
 )
@@ -200,16 +202,19 @@ func TestDecodeCanonicalization(t *testing.T) {
 	}
 }
 
-// TestExhaustiveMatchesSimExplore cross-checks the new subsystem against
-// the existing ranking: on a pure multiset space, the exhaustive strategy's
-// optimum is the machine Runner.Explore ranks first, with the same score.
-func TestExhaustiveMatchesSimExplore(t *testing.T) {
+// TestExhaustiveMatchesDirectRanking cross-checks the exhaustive strategy
+// against a ranking computed here without the driver: every candidate with
+// enough contexts, scored as the harmonic mean of its Runner.Run IPCs under
+// the default mapping divided by its area. The exhaustive optimum must be
+// that ranking's argmax, with the same score.
+func TestExhaustiveMatchesDirectRanking(t *testing.T) {
 	wls := testWorkloads(t)
 	sp := NewSpace(3, 0, wls)
 	opt := testSimOptions()
+	ctx := context.Background()
 
 	r := newTestRunner(t)
-	res, err := NewDriver(r).Search(context.Background(), sp, Exhaustive{}, Options{Sim: opt})
+	res, err := NewDriver(r).Search(ctx, sp, Exhaustive{}, Options{Sim: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,19 +222,36 @@ func TestExhaustiveMatchesSimExplore(t *testing.T) {
 		t.Fatal("exhaustive found nothing")
 	}
 
-	var cfgs []config.Microarch
+	bestName, bestPerArea := "", 0.0
 	for _, c := range sp.Candidates() {
-		cfgs = append(cfgs, c.Cfg)
+		if !sp.FitsWorkloads(c) {
+			continue
+		}
+		ipcs := make([]float64, len(wls))
+		for i, w := range wls {
+			m, err := sim.DefaultMapping(c.Cfg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := r.Run(ctx, c.Cfg, w, m, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ipcs[i] = run.IPC
+		}
+		a, err := area.Total(c.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perArea := metrics.HMean(ipcs) / a; perArea > bestPerArea {
+			bestName, bestPerArea = c.Cfg.Name, perArea
+		}
 	}
-	ranking, err := r.Explore(context.Background(), wls, cfgs, opt, nil)
-	if err != nil {
-		t.Fatal(err)
+	if bestName != res.Best.Config {
+		t.Errorf("exhaustive best %s, direct ranking puts %s first", res.Best.Config, bestName)
 	}
-	if ranking[0].Config != res.Best.Config {
-		t.Errorf("exhaustive best %s, Runner.Explore ranks %s first", res.Best.Config, ranking[0].Config)
-	}
-	if diff := ranking[0].PerArea - res.Best.Metric("per_area"); diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("objective mismatch: %v vs %v", res.Best.Metric("per_area"), ranking[0].PerArea)
+	if diff := bestPerArea - res.Best.Metric("per_area"); diff > 1e-12 || diff < -1e-12 {
+		t.Errorf("objective mismatch: %v vs %v", res.Best.Metric("per_area"), bestPerArea)
 	}
 	// 19 machines, minus 1M2 (one context cannot hold the 2-thread
 	// workload — context-infeasible, never simulated).

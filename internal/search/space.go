@@ -61,12 +61,13 @@ type Space struct {
 }
 
 // NewSpace returns the pure multipipeline-multiset space (M6/M4/M2 slots,
-// single defaults on every enriched axis) over the given workloads. Unlike
-// sim.CandidateConfigs it does not append the monolithic M8 baseline: M8
-// is not a multipipeline design point, and its special cases (thread
-// stretching, 1-cycle register file) sit outside the axes this space
-// scales — rank it against a search winner with sim.Runner.Explore. Callers
-// widen axes by assigning the slice fields.
+// single defaults on every enriched axis) over the given workloads. It
+// holds no monolithic M8 baseline: M8 is not a multipipeline design point,
+// and its special cases (thread stretching, 1-cycle register file) sit
+// outside the axes this space scales. To rank M8 against a search winner,
+// simulate it with sim.NewRequest on the same workloads and options, as
+// cmd/explore does for its reference line. Callers widen axes by assigning
+// the slice fields.
 func NewSpace(maxPipes int, areaCap float64, wls []workload.Workload) Space {
 	return Space{
 		Models:         []config.Model{config.M6, config.M4, config.M2},
@@ -348,8 +349,7 @@ func (s *Space) Enumerate(fn func(Point) bool) {
 }
 
 // Candidates enumerates the space's distinct feasible machines, sorted by
-// ascending area then name — the exhaustive candidate list, in the shape
-// sim.Runner.Explore consumes (via their Cfg fields).
+// ascending area then name — the exhaustive candidate list.
 func (s *Space) Candidates() []Candidate {
 	seen := map[string]bool{}
 	var out []Candidate

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"hdsmt/internal/area"
 	"hdsmt/internal/config"
 	"hdsmt/internal/mapping"
 	"hdsmt/internal/workload"
@@ -84,100 +83,6 @@ func TestRunDynamic(t *testing.T) {
 	}
 	if r.Interval != 512 {
 		t.Errorf("interval = %d", r.Interval)
-	}
-}
-
-func TestCandidateConfigs(t *testing.T) {
-	cands, err := CandidateConfigs(3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Multisets of {M6,M4,M2} of size 1..3: C(3,1)+C(4,2)+C(5,3) with
-	// repetition = 3 + 6 + 10 = 19, plus M8.
-	if len(cands) != 20 {
-		t.Errorf("candidates = %d, want 20", len(cands))
-	}
-	seen := map[string]bool{}
-	for _, c := range cands {
-		if seen[c.Name] {
-			t.Errorf("duplicate candidate %s", c.Name)
-		}
-		seen[c.Name] = true
-	}
-	if !seen["M8"] {
-		t.Error("baseline missing")
-	}
-	if !seen["2M4"] || !seen["1M6+1M4+1M2"] {
-		t.Errorf("expected multisets missing: %v", seen)
-	}
-	// Area cap filters.
-	capped, err := CandidateConfigs(3, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range capped {
-		if a := mustArea(t, c); a > 60 {
-			t.Errorf("%s area %.1f exceeds cap", c.Name, a)
-		}
-	}
-	if _, err := CandidateConfigs(0, 0); err == nil {
-		t.Error("maxPipes 0 must fail")
-	}
-	if _, err := CandidateConfigs(3, -5); err == nil {
-		t.Error("negative area cap must fail")
-	}
-}
-
-func mustArea(t *testing.T, c config.Microarch) float64 {
-	t.Helper()
-	a, err := area.Total(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
-func TestExploreRanksByPerArea(t *testing.T) {
-	cands, err := CandidateConfigs(2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wls := []workload.Workload{workload.MustByName("2W7")}
-	rs, err := testRunner(t).Explore(context.Background(), wls, cands, tinyOptions(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != len(cands) {
-		t.Fatalf("results = %d", len(rs))
-	}
-	lastPA := rs[0].PerArea
-	for _, r := range rs {
-		if r.Skipped {
-			continue // skipped sort to the end
-		}
-		if r.PerArea > lastPA+1e-12 {
-			t.Error("ranking not descending by IPC/mm²")
-		}
-		lastPA = r.PerArea
-	}
-	// Single-M2 candidates cannot hold a 2-thread workload.
-	foundSkipped := false
-	for _, r := range rs {
-		if r.Config == "1M2" && r.Skipped {
-			foundSkipped = true
-		}
-	}
-	if !foundSkipped {
-		t.Error("1M2 should be skipped for a 2-thread workload")
-	}
-	if RenderExploration(rs) == "" {
-		t.Error("empty render")
-	}
-}
-
-func TestExploreErrors(t *testing.T) {
-	if _, err := testRunner(t).Explore(context.Background(), nil, nil, tinyOptions(), nil); err == nil {
-		t.Error("empty workload set must fail")
 	}
 }
 

@@ -80,12 +80,6 @@ func entryPointDigests(t *testing.T) map[string]string {
 	record("Runner.Evaluate/2M4+2M2×2W7", meas, err)
 	abl, err := runner.AblateRFLatency(ctx, workload.MustByName("2W1"), tinyOptions())
 	record("Runner.AblateRFLatency/2W1", abl, err)
-	cands, err := CandidateConfigs(2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := runner.Explore(ctx, []workload.Workload{workload.MustByName("2W7")}, cands, tinyOptions(), nil)
-	record("Runner.Explore/2W7", ex, err)
 	return out
 }
 

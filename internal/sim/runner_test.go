@@ -143,7 +143,7 @@ func TestRunnerJournalResume(t *testing.T) {
 
 // TestRequestKeyNormalizesForThreads pins the cross-sweep cache-key
 // property: callers passing the raw configuration and callers passing the
-// thread-stretched one (as Explore does) produce the same job key.
+// thread-stretched one produce the same job key.
 func TestRequestKeyNormalizesForThreads(t *testing.T) {
 	cfg := config.MustParse("M8")
 	w := workload.MustByName("6W1")

@@ -45,7 +45,7 @@ type Options struct {
 	// include the sampling parameters, so sampled and exact runs of the
 	// same design point memoize separately. Run and Runner.Run honor it,
 	// as do the design-point requests of NewRequest; the sweeps (Evaluate,
-	// RunFigure, Explore, the ablations), RunReference, RunDynamic and the
+	// RunFigure, the ablations), RunReference, RunDynamic and the
 	// alone runs of Fairness and AloneRequest always run exact.
 	Sample core.SampleParams
 }
