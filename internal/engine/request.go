@@ -3,12 +3,12 @@ package engine
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strconv"
 
 	"hdsmt/internal/config"
 	"hdsmt/internal/core"
+	"hdsmt/internal/jsonl"
 	"hdsmt/internal/mapping"
 	"hdsmt/internal/workload"
 )
@@ -77,7 +77,7 @@ func (r Request) Key() string {
 // appendJSON appends json.Marshal(r) to b.
 func (r Request) appendJSON(b []byte) []byte {
 	b = append(b, `{"cfg":{"Name":`...)
-	b = appendString(b, r.Cfg.Name)
+	b = jsonl.AppendString(b, r.Cfg.Name)
 	b = append(b, `,"Pipelines":`...)
 	if r.Cfg.Pipelines == nil {
 		b = append(b, "null"...)
@@ -101,7 +101,7 @@ func (r Request) appendJSON(b []byte) []byte {
 	b = appendInt(b, `,"PipelineDepth":`, p.PipelineDepth)
 	b = appendInt(b, `,"RegAccessLatency":`, p.RegAccessLatency)
 	b = append(b, `}},"workload":{"Name":`...)
-	b = appendString(b, r.Workload.Name)
+	b = jsonl.AppendString(b, r.Workload.Name)
 	b = append(b, `,"Benchmarks":`...)
 	if r.Workload.Benchmarks == nil {
 		b = append(b, "null"...)
@@ -111,7 +111,7 @@ func (r Request) appendJSON(b []byte) []byte {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendString(b, name)
+			b = jsonl.AppendString(b, name)
 		}
 		b = append(b, ']')
 	}
@@ -134,7 +134,7 @@ func (r Request) appendJSON(b []byte) []byte {
 	b = appendUint(b, `,"warmup":`, r.Warmup)
 	if r.Policy != "" {
 		b = append(b, `,"policy":`...)
-		b = appendString(b, r.Policy)
+		b = jsonl.AppendString(b, r.Policy)
 	}
 	b = appendNonzero(b, `,"remap":`, r.Remap)
 	b = appendNonzero(b, `,"sample_period":`, r.SamplePeriod)
@@ -145,7 +145,7 @@ func (r Request) appendJSON(b []byte) []byte {
 
 func appendModel(b []byte, m config.Model) []byte {
 	b = append(b, `{"Name":`...)
-	b = appendString(b, m.Name)
+	b = jsonl.AppendString(b, m.Name)
 	b = appendInt(b, `,"Contexts":`, m.Contexts)
 	b = appendInt(b, `,"Width":`, m.Width)
 	b = appendInt(b, `,"ThreadsPerCycle":`, m.ThreadsPerCycle)
@@ -175,26 +175,6 @@ func appendNonzero(b []byte, name string, v uint64) []byte {
 		return b
 	}
 	return appendUint(b, name, v)
-}
-
-// appendString appends s as json.Marshal quotes it. A string of printable
-// ASCII other than '"', '\\' and the HTML-escaped '<', '>' and '&' is
-// copied between quotes; any other string, rare in a request, is left to
-// json.Marshal and its escaping rules.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, err := json.Marshal(s)
-			if err != nil {
-				// Marshal never fails on a string.
-				panic(fmt.Sprintf("engine: marshaling request key: %v", err))
-			}
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
 }
 
 // String describes the request compactly for logs and errors.

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -101,6 +102,44 @@ func TestSpaceValidate(t *testing.T) {
 	bad.AreaCap = -5
 	if err := bad.Validate(); err == nil {
 		t.Error("negative area cap must fail")
+	}
+	// A cap below the smallest machine the space builds (1M2 at the
+	// narrowest scales) admits none: rejected, as explore -areacap 1 is.
+	// At exactly that area the smallest machine fits, and no machine of
+	// the space is smaller.
+	scaled := EnrichedSpace(2, 0, ok.Workloads)
+	one, err := config.ScaleModel(config.M2, 75, 75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	min1 := config.NewMicroarch(one)
+	smallest := area.MustTotal(min1)
+	for _, c := range scaled.Candidates() {
+		if c.Area < smallest {
+			t.Errorf("%s has area %.2f, below the smallest single-pipeline machine's %.2f", c.Name(), c.Area, smallest)
+		}
+	}
+	bad = scaled
+	bad.AreaCap = 1
+	if err := bad.Validate(); err == nil {
+		t.Error("area cap 1 mm² must fail: no machine fits")
+	}
+	bad.AreaCap = math.Nextafter(smallest, 0)
+	if err := bad.Validate(); err == nil {
+		t.Errorf("area cap just below %.4f mm² must fail", smallest)
+	}
+	bad.AreaCap = smallest
+	if err := bad.Validate(); err != nil {
+		t.Errorf("area cap %.4f mm² rejects %s: %v", smallest, min1.Name, err)
+	}
+	cands := bad.Candidates()
+	if len(cands) == 0 {
+		t.Errorf("area cap %.4f mm² admits no machine, want %s", smallest, min1.Name)
+	}
+	for _, c := range cands {
+		if c.Cfg.Name != min1.Name {
+			t.Errorf("area cap %.4f mm² admits %s, want only %s", smallest, c.Name(), min1.Name)
+		}
 	}
 	bad = ok
 	bad.QueueScales = []int{0}

@@ -154,7 +154,39 @@ func (s *Space) Validate() error {
 			return fmt.Errorf("search: %w", err)
 		}
 	}
+	if s.AreaCap > 0 {
+		smallest, err := s.smallestArea()
+		if err != nil {
+			return err
+		}
+		if s.AreaCap < smallest {
+			return fmt.Errorf("search: area cap %v mm² is below the smallest machine of the space (%.2f mm²)", s.AreaCap, smallest)
+		}
+	}
 	return nil
+}
+
+// smallestArea is the area of the space's smallest machine: one pipeline
+// of some model at some queue and fetch-buffer scale. Every other machine
+// adds pipelines to one of these, so a cap below it admits none.
+func (s *Space) smallestArea() (float64, error) {
+	smallest := math.Inf(1)
+	for _, m := range s.Models {
+		for _, q := range s.QueueScales {
+			for _, f := range s.FetchBufScales {
+				scaled, err := config.ScaleModel(m, q, f)
+				if err != nil {
+					return 0, fmt.Errorf("search: %w", err)
+				}
+				a, err := area.Total(config.NewMicroarch(scaled))
+				if err != nil {
+					return 0, fmt.Errorf("search: %w", err)
+				}
+				smallest = math.Min(smallest, a)
+			}
+		}
+	}
+	return smallest, nil
 }
 
 // Point is one genotype: a choice index per dimension, in Dims order.

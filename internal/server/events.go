@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -9,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"hdsmt/internal/jsonl"
 	"hdsmt/internal/obslog"
 	"hdsmt/internal/telemetry"
 )
@@ -35,6 +35,33 @@ type Event struct {
 	// firehose, where events from every job interleave; empty on per-job
 	// streams, where it would be redundant.
 	Job string `json:"job,omitempty"`
+}
+
+// appendJSON appends json.Marshal(ev) to b, for journal records and SSE
+// data lines. A TMS that is NaN or infinite is an error, as it is to
+// json.Marshal.
+func (ev *Event) appendJSON(b []byte) ([]byte, error) {
+	b = strconv.AppendInt(append(b, `{"seq":`...), ev.Seq, 10)
+	b, err := jsonl.AppendFloat(append(b, `,"t_ms":`...), ev.TMS)
+	if err != nil {
+		return b, err
+	}
+	b = jsonl.AppendString(append(b, `,"type":`...), ev.Type)
+	b = appendStringField(b, `,"detail":`, ev.Detail)
+	b = appendStringField(b, `,"job":`, ev.Job)
+	return append(b, '}'), nil
+}
+
+// appendSSE appends ev's SSE frame: its sequence number as the event id,
+// its type as the event name and its JSON as the data line.
+func (ev *Event) appendSSE(b []byte) ([]byte, error) {
+	b = strconv.AppendInt(append(b, "id: "...), ev.Seq, 10)
+	b = append(append(append(b, "\nevent: "...), ev.Type...), "\ndata: "...)
+	b, err := ev.appendJSON(b)
+	if err != nil {
+		return b, err
+	}
+	return append(b, "\n\n"...), nil
 }
 
 // Timeline event types, in rough lifecycle order.
@@ -315,30 +342,45 @@ func (s *Server) streamTimeline(w http.ResponseWriter, r *http.Request, tl *time
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
-	heartbeat := time.NewTicker(s.sseHeartbeat)
-	defer heartbeat.Stop()
-
 	// The headers go out in the first flush: with the backlog when one is
-	// waiting, alone otherwise, so the client sees the stream open.
-	flushed := false
+	// waiting, alone otherwise, so the client sees the stream open. A
+	// stream that reaches the terminal event returns without a flush, so
+	// net/http sends the last frames with the end of the body in one
+	// write; a job that settled before its stream opened is one response,
+	// with a Content-Length when the backlog fits net/http's 2 KB buffer.
+	// The heartbeat ticker starts the first time the stream waits.
+	var (
+		buf       []byte
+		heartbeat *time.Ticker
+		flushed   bool
+	)
 	for {
 		events, closed := tl.after(after)
+		buf = buf[:0]
 		for _, ev := range events {
-			data, err := json.Marshal(ev)
+			frame, err := ev.appendSSE(buf)
 			if err != nil {
+				w.Write(buf)
 				return
 			}
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
+			buf = frame
 			after = ev.Seq
 			s.sseEvents.Inc()
+		}
+		if len(buf) > 0 {
+			w.Write(buf)
+		}
+		if closed {
+			// Everything up to the terminal event has been delivered.
+			return
 		}
 		if len(events) > 0 || !flushed {
 			fl.Flush()
 			flushed = true
 		}
-		if closed {
-			// Everything up to the terminal event has been delivered.
-			return
+		if heartbeat == nil {
+			heartbeat = time.NewTicker(s.sseHeartbeat)
+			defer heartbeat.Stop()
 		}
 		select {
 		case <-notify:

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -318,6 +319,61 @@ func TestSSECancelDuringStream(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool {
 		return runtime.NumGoroutine() <= base+4
 	}, "goroutines leaked after cancel-during-stream")
+}
+
+// TestSSESettledBacklog opens streams on a job that settled before they
+// opened: the frames must be byte-identical to the json.Marshal + Fprintf
+// frames of the timeline snapshot, and each stream, a backlog well under
+// net/http's 2 KB buffer, must arrive as one response with a
+// Content-Length, not a chunked body.
+func TestSSESettledBacklog(t *testing.T) {
+	ts, _ := newTestServer(t)
+	st := postJob(t, ts, server.JobSpec{Kind: "run", Config: "M8", Workload: "2W7", Budget: 2_000, Warmup: 1_000})
+	if final := awaitJob(t, ts, st.ID); final.State != "done" {
+		t.Fatalf("job state %s: %s", final.State, final.Error)
+	}
+	page := getEvents(t, ts, st.ID)
+	if !page.Closed || len(page.Events) < 3 {
+		t.Fatalf("timeline closed=%v with %d events, want a closed spine", page.Closed, len(page.Events))
+	}
+	for _, after := range []int64{0, 2, page.Events[len(page.Events)-1].Seq} {
+		var want strings.Builder
+		for _, ev := range page.Events {
+			if ev.Seq <= after {
+				continue
+			}
+			data, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&want, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
+		}
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/jobs/"+st.ID+"/events", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", "text/event-stream")
+		req.Header.Set("Last-Event-ID", strconv.FormatInt(after, 10))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "text/event-stream" {
+			t.Fatalf("after %d: status %d, Content-Type %q", after, resp.StatusCode, ct)
+		}
+		if string(body) != want.String() {
+			t.Errorf("after %d: stream body\n%s\nwant\n%s", after, body, want.String())
+		}
+		if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) {
+			t.Errorf("after %d: Transfer-Encoding %v, Content-Length %d for a %d-byte body; want one unchunked response",
+				after, resp.TransferEncoding, resp.ContentLength, len(body))
+		}
+	}
 }
 
 // TestClientStream exercises the client-side SSE consumer: it must

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
@@ -59,10 +60,61 @@ type jobEvent struct {
 	TL *Event `json:"tl,omitempty"`
 }
 
+// appendJSON appends json.Marshal(ev) to b without reflecting over the
+// record: the envelope and tl are written by hand, and only Spec — a wide
+// struct, marshaled for accepted records alone — goes through
+// json.Marshal. Result is spliced in verbatim: it holds json.Marshal
+// output (compact, HTML-escaped; settle encodes it), which json.Marshal
+// would copy unchanged. TestJobEventAppendMatchesMarshal and
+// FuzzJobEventRecord hold the bytes to json.Marshal's.
+func (ev *jobEvent) appendJSON(b []byte) ([]byte, error) {
+	b = jsonl.AppendString(append(b, `{"id":`...), ev.ID)
+	b = jsonl.AppendString(append(b, `,"event":`...), ev.Event)
+	b = appendStringField(b, `,"tenant":`, ev.Tenant)
+	if ev.Priority != 0 {
+		b = strconv.AppendInt(append(b, `,"priority":`...), int64(ev.Priority), 10)
+	}
+	if ev.Spec != nil {
+		spec, err := json.Marshal(ev.Spec)
+		if err != nil {
+			return b, err
+		}
+		b = append(append(b, `,"spec":`...), spec...)
+	}
+	b = appendStringField(b, `,"created":`, ev.Created)
+	b = appendStringField(b, `,"request_id":`, ev.RequestID)
+	b = appendStringField(b, `,"traceparent":`, ev.Traceparent)
+	b = appendStringField(b, `,"error":`, ev.Error)
+	if len(ev.Result) > 0 {
+		b = append(append(b, `,"result":`...), ev.Result...)
+	}
+	b = appendStringField(b, `,"finished":`, ev.Finished)
+	if ev.TL != nil {
+		var err error
+		if b, err = ev.TL.appendJSON(append(b, `,"tl":`...)); err != nil {
+			return b, err
+		}
+	}
+	return append(b, '}'), nil
+}
+
+// appendStringField appends an omitempty string field: nothing for "".
+func appendStringField(b []byte, key, v string) []byte {
+	if v == "" {
+		return b
+	}
+	return jsonl.AppendString(append(b, key...), v)
+}
+
 type jobJournal struct {
 	mu sync.Mutex
 	f  *os.File
+	// buf holds the record being written, under mu; it keeps its capacity
+	// between appends unless a large result grew it past maxJournalBuf.
+	buf []byte
 }
+
+const maxJournalBuf = 64 << 10
 
 // openJobJournal opens (creating if needed) the job journal at path and
 // returns every well-formed event already present, plus the count of torn
@@ -92,13 +144,16 @@ func (jj *jobJournal) append(ev jobEvent) error {
 	if jj == nil {
 		return nil
 	}
-	b, err := json.Marshal(ev)
+	jj.mu.Lock()
+	defer jj.mu.Unlock()
+	b, err := ev.appendJSON(jj.buf[:0])
 	if err != nil {
 		return err
 	}
 	b = append(b, '\n')
-	jj.mu.Lock()
-	defer jj.mu.Unlock()
+	if cap(b) <= maxJournalBuf {
+		jj.buf = b
+	}
 	return retry.Do(context.Background(), jobJournalRetry, func() error {
 		if err := faultinject.Hit(faultinject.PointJobJournalAppend); err != nil {
 			return err

@@ -273,9 +273,16 @@ type Server struct {
 	deadlines map[string]time.Duration
 	maxBody   int64
 	draining  atomic.Bool
-	drainCh   chan struct{}  // closed once by Drain; ends live SSE streams
+	drainCh   chan struct{}  // closed once by Drain; ends live SSE streams and idle workers
 	ready     atomic.Bool    // journal replayed; flips in New
 	wg        sync.WaitGroup // every accepted-and-launched job; Drain waits on it
+
+	// idleWorkers hands a launched job to a job worker waiting for one
+	// (see launchJob); unbuffered, so a send succeeds only if a worker is
+	// idle. workers counts the running job workers; Drain waits for them
+	// after the jobs.
+	idleWorkers chan jobTask
+	workers     sync.WaitGroup
 
 	// log receives the server's structured records; per-job children bind
 	// job ID, tenant and request ID so no line is uncorrelated.
@@ -439,6 +446,7 @@ func New(r *sim.Runner, opts ...Option) (*Server, error) {
 		timelineCap:  defaultTimelineCap,
 		traceSpanCap: telemetry.DefaultJobTraceCap,
 		drainCh:      make(chan struct{}),
+		idleWorkers:  make(chan jobTask),
 	}
 	for _, o := range opts {
 		o(s)
@@ -604,7 +612,7 @@ func (s *Server) resume(j *job) {
 	s.event(j, EventRetried, "resumed from archive after daemon restart", nil)
 	s.adm.adopt(j.tenant)
 	s.wg.Add(1)
-	go s.runJob(ctx, j, func(ctx context.Context, j *job) (any, error) {
+	s.launchJob(ctx, j, func(ctx context.Context, j *job) (any, error) {
 		return s.searchBody(ctx, j, sp, st, opts)
 	})
 }
@@ -620,9 +628,9 @@ func (s *Server) interrupt(j *job) {
 }
 
 // Drain stops accepting jobs (submissions get 503) and waits until every
-// accepted job — active or queued — settles, or ctx expires. Pair with
-// http.Server.Shutdown for a clean SIGTERM: stop the listener, drain the
-// jobs, close the engine.
+// accepted job — active or queued — settles and every job worker has
+// exited, or ctx expires. Pair with http.Server.Shutdown for a clean
+// SIGTERM: stop the listener, drain the jobs, close the engine.
 func (s *Server) Drain(ctx context.Context) error {
 	// The flag flips under s.mu, the same lock newJob registers under, so
 	// no job can slip into the WaitGroup after the drain decides its
@@ -634,8 +642,11 @@ func (s *Server) Drain(ctx context.Context) error {
 		close(s.drainCh)
 	}
 	s.mu.Unlock()
+	// Every worker is started before its job settles, so none starts
+	// after s.wg.Wait returns, and each exits once drainCh is closed and
+	// its job is done.
 	done := make(chan struct{})
-	go func() { s.wg.Wait(); close(done) }()
+	go func() { s.wg.Wait(); s.workers.Wait(); close(done) }()
 	select {
 	case <-done:
 		return nil
@@ -1140,7 +1151,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// queued job, the time spent waiting behind the active set.
 		j.trace.Add("", "admission", "server", j.created, time.Now(), nil)
 		s.event(j, EventAdmitted, "", nil)
-		go s.runJob(ctx, j, body)
+		s.launchJob(ctx, j, body)
 	}
 	queued := func() { s.event(j, EventQueued, "awaiting an active slot", nil) }
 	if err := s.adm.admitOr(tenant, spec.Priority, launch, queued); err != nil {
@@ -1265,6 +1276,53 @@ func (s *Server) dropJob(j *job) {
 	s.mu.Unlock()
 	s.wg.Done()
 	j.cancel()
+}
+
+// jobTask is one launched job as a worker receives it.
+type jobTask struct {
+	ctx  context.Context
+	j    *job
+	body func(context.Context, *job) (any, error)
+}
+
+// workerIdle is how long a job worker waits for its next job before it
+// exits.
+const workerIdle = time.Second
+
+// launchJob runs a launched job on a job worker: an idle one if there
+// is one, a new one otherwise. It never blocks. Workers outlive their
+// jobs, so a job starts on a stack its predecessors already grew instead
+// of growing a fresh goroutine's stack again.
+func (s *Server) launchJob(ctx context.Context, j *job, body func(context.Context, *job) (any, error)) {
+	t := jobTask{ctx, j, body}
+	select {
+	case s.idleWorkers <- t:
+	default:
+		s.workers.Add(1)
+		go s.jobWorker(t)
+	}
+}
+
+// jobWorker runs t, then every job handed to it while it waits, until it
+// has waited workerIdle for one or the server drains. A job launched
+// during a drain (a queued job admitted when another settles) that finds
+// no idle worker gets a new one, which exits after that job.
+func (s *Server) jobWorker(t jobTask) {
+	defer s.workers.Done()
+	idle := time.NewTimer(workerIdle)
+	defer idle.Stop()
+	for {
+		s.runJob(t.ctx, t.j, t.body)
+		t = jobTask{} // an idle worker keeps no settled job reachable
+		idle.Reset(workerIdle)
+		select {
+		case t = <-s.idleWorkers:
+		case <-idle.C:
+			return
+		case <-s.drainCh:
+			return
+		}
+	}
 }
 
 // runJob is the one execution wrapper every job goes through: it marks
