@@ -101,11 +101,7 @@ func genPower(p params) (any, error) {
 	defer runner.Close()
 	w := wls[0]
 	for _, cfg := range config.EvaluatedMicroarchs() {
-		m, err := sim.DefaultMapping(cfg, w)
-		if err != nil {
-			return nil, err
-		}
-		res, err := runner.Run(context.Background(), cfg, w, m, searchSim)
+		res, err := runner.Run(context.Background(), cfg, w, nil, searchSim)
 		if err != nil {
 			return nil, err
 		}

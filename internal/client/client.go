@@ -243,9 +243,26 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return retry.Permanent(fmt.Errorf("decoding %s %s response: %w", method, path, err))
 	}
-	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
+	if err := decode(buf.Bytes(), out); err != nil {
 		return retry.Permanent(fmt.Errorf("decoding %s %s response: %w", method, path, err))
 	}
+	return nil
+}
+
+// decode stores body in out as json.Unmarshal does. Into a
+// *json.RawMessage — a job's result read to be passed on, not inspected —
+// it copies the body trimmed of surrounding whitespace once json.Valid
+// accepts it, the bytes Unmarshal would store, without walking the value
+// a second time.
+func decode(body []byte, out any) error {
+	raw, ok := out.(*json.RawMessage)
+	if !ok {
+		return json.Unmarshal(body, out)
+	}
+	if !json.Valid(body) {
+		return json.Unmarshal(body, out) // the same error Unmarshal reports
+	}
+	*raw = append((*raw)[:0], bytes.Trim(body, " \t\r\n")...)
 	return nil
 }
 

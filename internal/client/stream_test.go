@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -72,6 +73,51 @@ func TestResultDecodesWholeBody(t *testing.T) {
 	for i, st := range seen {
 		if want := fmt.Sprintf("job-%06d", i); st.ID != want || st.State != "done" {
 			t.Errorf("response %d decoded as %+v, want id %s done", i, st, want)
+		}
+	}
+}
+
+// TestResultIntoRawMessage: a result read into a *json.RawMessage holds
+// exactly the bytes json.Unmarshal stores for the same body — whitespace
+// around the value trimmed, inside it kept — and survives the pooled
+// buffer's reuse; an invalid body is still a decoding error.
+func TestResultIntoRawMessage(t *testing.T) {
+	bodies := map[string]string{
+		"indented": "{\n  \"ipc\": 1.25,\n  \"m\": [\n    0,\n    1\n  ]\n}\n",
+		"padded":   " \t\r\n[ \"a b\" , {} ]  \n\n",
+		"scalar":   "-1.5e-7",
+		"string":   "\"x \\\" y\"\n",
+		"invalid":  "{\"ipc\": 1.25,}\n",
+		"two":      "{} {}",
+		"empty":    "",
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, bodies[strings.TrimSuffix(strings.TrimPrefix(r.URL.Path, "/jobs/"), "/result")])
+	}))
+	defer ts.Close()
+	c := client.New(ts.URL, client.WithRetryPolicy(retry.Policy{Attempts: 1}))
+	got := map[string]json.RawMessage{}
+	for name, body := range bodies {
+		var want json.RawMessage
+		werr := json.Unmarshal([]byte(body), &want)
+		raw := json.RawMessage("stale")
+		err := c.Result(context.Background(), name, &raw)
+		if werr != nil {
+			if err == nil || !strings.Contains(err.Error(), "decoding") {
+				t.Errorf("%s: Result = %v, want a decoding error (Unmarshal: %v)", name, err, werr)
+			}
+			continue
+		}
+		if err != nil || string(raw) != string(want) {
+			t.Errorf("%s: Result = %q, %v; json.Unmarshal stores %q", name, raw, err, want)
+		}
+		got[name] = raw
+	}
+	for name, raw := range got {
+		var want json.RawMessage
+		_ = json.Unmarshal([]byte(bodies[name]), &want)
+		if string(raw) != string(want) {
+			t.Errorf("%s: later responses changed the stored bytes to %q", name, raw)
 		}
 	}
 }

@@ -92,8 +92,8 @@ func (p *Processor) queueEntries(b *pipeline.Backend) {
 	}
 	// next[k] is the ROB position the merge has reached in b.Threads[k].
 	next := p.pollScratch[:0]
-	for range b.Threads {
-		next = append(next, 0)
+	for _, tid := range b.Threads {
+		next = append(next, p.mergeStart(p.threads[tid]))
 	}
 	p.pollScratch = next
 	for u := p.nextEntry(b, next); u != nil; u = p.nextEntry(b, next) {
@@ -148,4 +148,32 @@ func (p *Processor) nextEntry(b *pipeline.Backend, next []int) *pipeline.UOp {
 		next[pick]++
 	}
 	return u
+}
+
+// mergeStart returns the ROB position of t's oldest dispatched uop
+// (rob.Len() when it has none), so the merge skips the issued and
+// completed uops ahead of it. A ROB holds its uops in dispatch order, so
+// the uops dispatched before t.mergeFloor are a prefix, skipped by binary
+// search. The floor then moves to the uop found, or past every uop
+// dispatched so far: the uops it passes stay out of the dispatched stage,
+// a squash only removes uops and new ones dispatch above it.
+func (p *Processor) mergeStart(t *thread) int {
+	rob := t.rob
+	lo, hi := 0, rob.Len()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if rob.At(mid).DispatchSeq < t.mergeFloor {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for ; lo < rob.Len(); lo++ {
+		if u := rob.At(lo); u.Stage == pipeline.StageDispatched {
+			t.mergeFloor = u.DispatchSeq
+			return lo
+		}
+	}
+	t.mergeFloor = p.dispatchSeq
+	return lo
 }

@@ -63,6 +63,11 @@ type thread struct {
 	// empty): set by a failed head peek, cleared when the head completes
 	// or squashAllOf empties the ROB.
 	headBusy bool
+	// mergeFloor is where the reference selection's merge starts in the
+	// ROB: every uop dispatched before it (a lower DispatchSeq) had left
+	// the dispatched stage when the merge last looked, and none returns
+	// to it. See Processor.mergeStart.
+	mergeFloor uint64
 
 	stats ThreadStats
 }

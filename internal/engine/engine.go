@@ -159,6 +159,10 @@ type task struct {
 	// part of the cache key or results.
 	jt    *telemetry.JobTrace
 	pspan string
+	// args labels the task's trace events and, once its result is
+	// memoized, every hit's; nil when no trace sink was on at submit.
+	// Telemetry only.
+	args map[string]string
 }
 
 // resolved is the done channel of every memo-hit ticket: it is closed
@@ -181,8 +185,18 @@ func (t *task) resolve(res core.Results, err error) {
 // bounded queue: any free worker takes the next task, whatever its shard.
 type shard struct {
 	mu       sync.Mutex
-	memo     map[string]core.Results
+	memo     map[string]memoEntry
 	inflight map[string]*task
+}
+
+// memoEntry is one memoized result with the trace labels of its request:
+// the executed task's, or — for a task submitted untraced and for a result
+// preloaded from the journal, which holds no request — those built at its
+// first traced hit. Traced hits share that one map instead of building
+// one each.
+type memoEntry struct {
+	res  core.Results
+	args map[string]string
 }
 
 // Engine is the sharded batch-simulation engine. Create one with New;
@@ -237,7 +251,7 @@ func New(runner Runner, opts Options) (*Engine, error) {
 	e.shards = make([]*shard, opts.shards())
 	for i := range e.shards {
 		e.shards[i] = &shard{
-			memo:     map[string]core.Results{},
+			memo:     map[string]memoEntry{},
 			inflight: map[string]*task{},
 		}
 	}
@@ -250,7 +264,7 @@ func New(runner Runner, opts Options) (*Engine, error) {
 		e.journal = j
 		for _, ent := range entries {
 			sh := e.shardFor(ent.Key)
-			sh.memo[ent.Key] = ent.Result
+			sh.memo[ent.Key] = memoEntry{res: ent.Result}
 			e.tel.restored.Inc()
 		}
 		if torn > 0 {
@@ -373,20 +387,31 @@ func (tk *Ticket) Wait(ctx context.Context) (core.Results, error) {
 // the task queue is full (bounded backpressure) and returns
 // ctx's error if ctx is done first.
 func (e *Engine) Submit(ctx context.Context, req Request) (*Ticket, error) {
+	return e.SubmitKeyed(ctx, req, req.Key())
+}
+
+// SubmitKeyed is Submit for a caller that already holds req's key, such
+// as a sweep planner that keys each request once and submits it many
+// times. key must equal req.Key(): the engine stores, journals and looks
+// results up under it.
+func (e *Engine) SubmitKeyed(ctx context.Context, req Request, key string) (*Ticket, error) {
 	if e.closed.Load() {
 		return nil, fmt.Errorf("engine: submit on closed engine")
 	}
 	e.tel.submitted.Inc()
-	key := req.Key()
 	sh := e.shardFor(key)
 
 	jt, pspan := telemetry.SpanFrom(ctx)
 	sh.mu.Lock()
-	if res, ok := sh.memo[key]; ok {
+	if ent, ok := sh.memo[key]; ok {
+		if ent.args == nil && e.traced(jt) {
+			ent.args = traceArgs(req, key)
+			sh.memo[key] = ent
+		}
 		sh.mu.Unlock()
 		e.tel.memoHits.Inc()
-		e.instant(jt, pspan, "memo-hit", req, key)
-		return &Ticket{t: &task{done: resolved, res: res}, hit: true}, nil
+		e.instant(jt, pspan, "memo-hit", ent.args)
+		return &Ticket{t: &task{done: resolved, res: ent.res}, hit: true}, nil
 	}
 	if t, ok := sh.inflight[key]; ok {
 		t.waiters = append(t.waiters, ctx)
@@ -394,7 +419,9 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Ticket, error) {
 		e.tel.coalesced.Inc()
 		// The execution spans land in the creator's trace; this submitter's
 		// trace records that its work was coalesced onto it.
-		e.instant(jt, pspan, "coalesce", req, key)
+		if e.traced(jt) {
+			e.instant(jt, pspan, "coalesce", traceArgs(req, key))
+		}
 		return &Ticket{t: t}, nil
 	}
 	t := &task{
@@ -407,6 +434,9 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Ticket, error) {
 		origin:     obslog.RequestID(ctx),
 		jt:         jt,
 		pspan:      pspan,
+	}
+	if e.traced(jt) {
+		t.args = traceArgs(req, key)
 	}
 	sh.inflight[key] = t
 	sh.mu.Unlock()
@@ -512,7 +542,9 @@ func (e *Engine) work(w int) {
 	}
 }
 
-// traceArgs labels a job's trace events; called only when tracing is on.
+// traceArgs labels a job's trace events. Trace sinks only read the map,
+// so one map serves every event of a request: a memo entry's serves all
+// its hits.
 func traceArgs(req Request, key string) map[string]string {
 	return map[string]string{
 		"config":   req.Cfg.Name,
@@ -526,27 +558,32 @@ func traceArgs(req Request, key string) map[string]string {
 // submitting request's JobTrace. labeled attaches traceArgs. Both sinks
 // off costs two pointer comparisons.
 func (e *Engine) span(t *task, tid int, name string, start time.Time, labeled bool) {
-	if !e.tracer.Enabled() && t.jt == nil {
+	if !e.traced(t.jt) {
 		return
 	}
 	end := time.Now()
 	var args map[string]string
 	if labeled {
-		args = traceArgs(t.req, t.key)
+		args = t.args
 	}
 	e.tracer.Complete(tid, name, "engine", start, end, args)
 	t.jt.Add(t.pspan, name, "engine", start, end, args)
 }
 
+// traced reports whether a trace sink records a submission bound to jt:
+// the process Tracer or the submitter's JobTrace.
+func (e *Engine) traced(jt *telemetry.JobTrace) bool {
+	return e.tracer.Enabled() || jt != nil
+}
+
 // instant records a submit-side point event (memo hit, coalesce join) at
 // one timestamp in both trace sinks: an instant on the Tracer's submit
 // track and a zero-duration span in the submitter's JobTrace.
-func (e *Engine) instant(jt *telemetry.JobTrace, pspan, name string, req Request, key string) {
-	if !e.tracer.Enabled() && jt == nil {
+func (e *Engine) instant(jt *telemetry.JobTrace, pspan, name string, args map[string]string) {
+	if !e.traced(jt) {
 		return
 	}
 	now := time.Now()
-	args := traceArgs(req, key)
 	e.tracer.Instant(0, name, "engine", now, args)
 	jt.Add(pspan, name, "engine", now, now, args)
 }
@@ -633,11 +670,12 @@ func (e *Engine) simulate(t *task) (res core.Results, err error) {
 }
 
 // finish publishes a task's outcome: successful results enter the memo
-// store, the in-flight entry is cleared, and waiters are released.
+// store with their trace labels, the in-flight entry is cleared, and
+// waiters are released.
 func (e *Engine) finish(sh *shard, t *task, res core.Results, err error) {
 	sh.mu.Lock()
 	if err == nil {
-		sh.memo[t.key] = res
+		sh.memo[t.key] = memoEntry{res: res, args: t.args}
 	}
 	delete(sh.inflight, t.key)
 	sh.mu.Unlock()

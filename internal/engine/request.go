@@ -62,20 +62,21 @@ func (r Request) Sample() core.SampleParams {
 // Key returns the request's content-addressed identity: the hex SHA-256
 // of json.Marshal(r). Struct fields marshal in declaration order, so equal
 // requests produce equal keys across processes — the property the on-disk
-// store and the checkpoint journal rely on. The bytes come from appendJSON,
+// store and the checkpoint journal rely on. The bytes come from AppendJSON,
 // which writes what json.Marshal would without reflection, into a stack
 // buffer; TestRequestKeyGolden, TestAppendJSONCoversEveryField and
 // FuzzRequestKey hold it to json.Marshal.
 func (r Request) Key() string {
 	var buf [1024]byte
-	sum := sha256.Sum256(r.appendJSON(buf[:0]))
+	sum := sha256.Sum256(r.AppendJSON(buf[:0]))
 	var hx [2 * sha256.Size]byte
 	hex.Encode(hx[:], sum[:])
 	return string(hx[:])
 }
 
-// appendJSON appends json.Marshal(r) to b.
-func (r Request) appendJSON(b []byte) []byte {
+// AppendJSON appends json.Marshal(r) to b. The bytes hold every field, so
+// they also serve, unhashed, as a content key (sim's plan cache).
+func (r Request) AppendJSON(b []byte) []byte {
 	b = append(b, `{"cfg":{"Name":`...)
 	b = jsonl.AppendString(b, r.Cfg.Name)
 	b = append(b, `,"Pipelines":`...)

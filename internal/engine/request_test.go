@@ -73,15 +73,15 @@ func checkAppendJSON(t *testing.T, i int, r Request) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.appendJSON(nil); string(got) != string(want) {
-		t.Fatalf("case %d: appendJSON\n%s\njson.Marshal\n%s", i, got, want)
+	if got := r.AppendJSON(nil); string(got) != string(want) {
+		t.Fatalf("case %d: AppendJSON\n%s\njson.Marshal\n%s", i, got, want)
 	}
 }
 
 // TestAppendJSONCoversEveryField fills every field of Request and of the
 // structs it holds — found by reflection, so a field added later is filled
 // too — with a distinct nonzero value, and compares the encoder with
-// json.Marshal. A new field fails here until appendJSON writes it; a new
+// json.Marshal. A new field fails here until AppendJSON writes it; a new
 // nested struct type, or a field kind the filler does not know, fails
 // until the encoder and this test cover it.
 func TestAppendJSONCoversEveryField(t *testing.T) {
@@ -99,7 +99,7 @@ func TestAppendJSONCoversEveryField(t *testing.T) {
 		switch v.Kind() {
 		case reflect.Struct:
 			if !known[v.Type()] {
-				t.Fatalf("%s: struct type %v is not covered by appendJSON", path, v.Type())
+				t.Fatalf("%s: struct type %v is not covered by AppendJSON", path, v.Type())
 			}
 			for i := 0; i < v.NumField(); i++ {
 				if f := v.Type().Field(i); f.IsExported() {
@@ -119,7 +119,7 @@ func TestAppendJSONCoversEveryField(t *testing.T) {
 		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 			v.SetUint(uint64(n))
 		default:
-			t.Fatalf("%s: field kind %v is not covered by appendJSON", path, v.Kind())
+			t.Fatalf("%s: field kind %v is not covered by AppendJSON", path, v.Kind())
 		}
 	}
 	var r Request
@@ -169,8 +169,8 @@ func FuzzRequestKey(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := r.appendJSON(nil); string(got) != string(want) {
-			t.Fatalf("appendJSON\n%s\njson.Marshal\n%s", got, want)
+		if got := r.AppendJSON(nil); string(got) != string(want) {
+			t.Fatalf("AppendJSON\n%s\njson.Marshal\n%s", got, want)
 		}
 	})
 }

@@ -178,3 +178,68 @@ func TestEngineTelemetry(t *testing.T) {
 		t.Errorf("thread_name metadata = %d, want 5 (submit + 4 workers)", count["thread_name/M"])
 	}
 }
+
+// TestMemoHitTraceLabels: a traced memo hit is labeled with its request's
+// config, workload and key prefix, and every hit of one result shares one
+// label map — for a result executed traced, one executed untraced and one
+// restored from the journal, which holds no request.
+func TestMemoHitTraceLabels(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	var executed atomic.Uint64
+	untraced, traced := testRequest(1), testRequest(2)
+	jt := telemetry.NewJobTrace(telemetry.NewTraceContext(), 64)
+	ctx := telemetry.WithSpan(context.Background(), jt, "")
+
+	hits := func(e *engine.Engine, reqs ...engine.Request) {
+		t.Helper()
+		before, _ := jt.Snapshot()
+		for pass := 0; pass < 2; pass++ {
+			for _, req := range reqs {
+				if tk, err := e.Submit(ctx, req); err != nil || !tk.CacheHit() {
+					t.Fatalf("%s: submit %v, hit %v; want a memo hit", req, err, err == nil && tk.CacheHit())
+				}
+			}
+		}
+		spans, _ := jt.Snapshot()
+		labels := map[string]map[string]string{}
+		for _, sp := range spans[len(before):] {
+			key := sp.Args["key"]
+			if sp.Name != "memo-hit" || key == "" {
+				t.Fatalf("span %+v, want a labeled memo-hit", sp)
+			}
+			if first, ok := labels[key]; ok && reflect.ValueOf(first).UnsafePointer() != reflect.ValueOf(sp.Args).UnsafePointer() {
+				t.Errorf("hits of %s carry separate label maps", key)
+			}
+			labels[key] = sp.Args
+		}
+		for _, req := range reqs {
+			want := map[string]string{"config": req.Cfg.Name, "workload": req.Workload.Name, "key": req.Key()[:12]}
+			if got := labels[req.Key()[:12]]; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: hit labels %v, want %v", req, got, want)
+			}
+		}
+	}
+
+	e, err := engine.New(fakeRunner(&executed), engine.Options{Workers: 1, JournalPath: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunBatch(context.Background(), []engine.Request{untraced}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunBatch(ctx, []engine.Request{traced}); err != nil {
+		t.Fatal(err)
+	}
+	hits(e, untraced, traced)
+	e.Close()
+
+	restored, err := engine.New(fakeRunner(&executed), engine.Options{Workers: 1, JournalPath: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	hits(restored, untraced, traced)
+	if executed.Load() != 2 {
+		t.Errorf("executed %d, want 2", executed.Load())
+	}
+}

@@ -91,3 +91,75 @@ func AppendFloat(b []byte, f float64) ([]byte, error) {
 	}
 	return b, nil
 }
+
+// AppendIndent appends src indented as json.Indent(dst, src, "", "  ")
+// writes it: each element and member on its own line, two spaces per
+// level, ": " after a key, empty objects and arrays kept as {} and [],
+// whitespace before the value and between its tokens dropped, whitespace
+// after it kept. Unlike json.Indent it does not validate src, so src must
+// already be known to be valid JSON — encoding/json's output, or bytes
+// json.Unmarshal has parsed; on anything else the result is undefined.
+func AppendIndent(dst, src []byte) []byte {
+	depth := 0       // indentation of the current line, in levels
+	open := 0        // objects and arrays open at this point
+	pending := false // a { or [ was just written: indent before its first member
+	started := false // the value has begun; whitespace after it is kept
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		switch c {
+		case ' ', '\t', '\n', '\r':
+			if open == 0 && started {
+				dst = append(dst, c)
+			}
+			continue
+		}
+		started = true
+		if pending && c != '}' && c != ']' {
+			pending = false
+			depth++
+			dst = appendNewline(dst, depth)
+		}
+		switch c {
+		case '"':
+			// Copy the string through its closing quote, escapes included.
+			j := i + 1
+			for ; j < len(src) && src[j] != '"'; j++ {
+				if src[j] == '\\' {
+					j++
+				}
+			}
+			j = min(j, len(src)-1)
+			dst = append(dst, src[i:j+1]...)
+			i = j
+		case '{', '[':
+			pending = true
+			open++
+			dst = append(dst, c)
+		case '}', ']':
+			open--
+			if pending {
+				pending = false
+			} else {
+				depth--
+				dst = appendNewline(dst, depth)
+			}
+			dst = append(dst, c)
+		case ',':
+			dst = appendNewline(append(dst, c), depth)
+		case ':':
+			dst = append(dst, c, ' ')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// appendNewline starts a new line indented depth levels of two spaces.
+func appendNewline(b []byte, depth int) []byte {
+	b = append(b, '\n')
+	for ; depth > 0; depth-- {
+		b = append(b, ' ', ' ')
+	}
+	return b
+}

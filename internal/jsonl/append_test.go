@@ -1,6 +1,7 @@
 package jsonl
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strings"
@@ -56,5 +57,51 @@ func TestAppendFloatMatchesMarshal(t *testing.T) {
 		if got, err := AppendFloat([]byte("x"), f); err == nil || string(got) != "x" {
 			t.Errorf("AppendFloat(%g) = %q, %v; want b unchanged and an error", f, got, err)
 		}
+	}
+}
+
+// indentCases are valid documents for AppendIndent: whitespace around and
+// between tokens, escapes (quotes, backslashes, \u forms) inside keys and
+// strings, empty and nested objects and arrays, scalars at the top level
+// and whitespace after the value.
+var indentCases = []string{
+	`{}`, `[]`, `{"a":{},"b":[],"c":[{}],"d":[[]]}`, `null`, `true`, `-1.5e-7`, `"x"`,
+	` {"a" : 1 ,"b":[ 1, 2 ,{ } ] } `, "\t\r\n[1]\n", `[ ]`, `{ }`, "{}  \n",
+	`{"k\"ey":"v\\","é":"a b","q":"\"","s":"{[,:]}"}`,
+	`{"nested":{"deeper":{"deepest":[1,[2,[3,{}]]]}},"after":"x"}`,
+	`["a\\",",","\\\"",":"]`, "{\"a\":\"tab\\t inside\"}\n",
+}
+
+// TestAppendIndentMatchesIndent holds AppendIndent to json.Indent with no
+// prefix and a two-space indent, appending after existing bytes.
+func TestAppendIndentMatchesIndent(t *testing.T) {
+	for _, src := range indentCases {
+		checkIndent(t, []byte(src))
+	}
+}
+
+// FuzzAppendIndent compares AppendIndent with json.Indent on every valid
+// input the fuzzer finds.
+func FuzzAppendIndent(f *testing.F) {
+	for _, src := range indentCases {
+		f.Add([]byte(src))
+	}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		if !json.Valid(src) {
+			return
+		}
+		checkIndent(t, src)
+	})
+}
+
+func checkIndent(t *testing.T, src []byte) {
+	t.Helper()
+	var want bytes.Buffer
+	want.WriteString("x")
+	if err := json.Indent(&want, src, "", "  "); err != nil {
+		t.Fatalf("json.Indent(%q): %v", src, err)
+	}
+	if got := AppendIndent([]byte("x"), src); string(got) != want.String() {
+		t.Errorf("AppendIndent(%q) =\n%s\nwant\n%s", src, got, want.Bytes())
 	}
 }

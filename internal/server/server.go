@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"hdsmt/internal/config"
+	"hdsmt/internal/jsonl"
 	"hdsmt/internal/mapping"
 	"hdsmt/internal/obslog"
 	"hdsmt/internal/pareto"
@@ -561,7 +562,14 @@ func (s *Server) replay(events []jobEvent) {
 			j.errmsg = ev.Error
 			j.finished = parseRFC3339(ev.Finished)
 			if len(ev.Result) > 0 {
-				j.result = ev.Result // raw JSON, served verbatim by /result
+				// Valid JSON (json.Unmarshal parsed the record), served
+				// indented by /result.
+				j.result = ev.Result
+			} else if ev.Event == "done" {
+				// What a daemon wrote before settle failed unencodable
+				// results: a done job must have a result to serve.
+				j.state = "failed"
+				j.errmsg = "the journal holds no result for this job"
 			}
 		case "evicted":
 			delete(s.jobs, ev.ID)
@@ -1364,6 +1372,14 @@ func (s *Server) markRunning(j *job) {
 func (s *Server) settle(ctx context.Context, j *job, result any, err error) {
 	deadline := errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(ctx.Err(), context.DeadlineExceeded)
+	// One encoding serves the journal record and every /result. A result
+	// with no JSON form (a NaN or an infinity) fails the job: a job done
+	// without a result would answer /result with an empty body.
+	var raw json.RawMessage
+	var encErr error
+	if err == nil {
+		raw, encErr = json.Marshal(result)
+	}
 	// The job metrics settle before the state does, so a client that sees
 	// the job settled also sees it out of flight and in the histogram.
 	finished := time.Now()
@@ -1372,8 +1388,12 @@ func (s *Server) settle(ctx context.Context, j *job, result any, err error) {
 	j.mu.Lock()
 	j.finished = finished
 	switch {
+	case encErr != nil:
+		j.state = "failed"
+		j.errmsg = fmt.Sprintf("encoding the result: %v", encErr)
 	case err == nil:
 		j.state = "done"
+		j.result = raw
 	case deadline:
 		j.state = "failed"
 		j.errmsg = fmt.Sprintf("deadline exceeded: %v", err)
@@ -1384,17 +1404,9 @@ func (s *Server) settle(ctx context.Context, j *job, result any, err error) {
 		j.state = "failed"
 		j.errmsg = err.Error()
 	}
-	ev := jobEvent{Event: j.state, Error: j.errmsg, Finished: rfc3339(j.finished)}
+	ev := jobEvent{Event: j.state, Error: j.errmsg, Finished: rfc3339(j.finished), Result: j.result}
 	kind, tenant, state, errmsg := j.spec.Kind, j.tenant, j.state, j.errmsg
 	started := j.started
-	if j.state == "done" {
-		// One encoding serves the journal record and every /result.
-		if raw, merr := json.Marshal(result); merr == nil {
-			ev.Result, j.result = raw, raw
-		} else {
-			j.log.Error("result not journalable", obslog.Err(merr))
-		}
-	}
 	j.mu.Unlock()
 
 	// The execute span closes under its pre-minted ID, so every engine
@@ -1417,7 +1429,8 @@ func (s *Server) cellsBody(ctx context.Context, j *job, cells []sim.SweepCell) (
 	opt := j.spec.options()
 	switch j.spec.Kind {
 	case "run":
-		result, err := s.executeRun(ctx, cells[0], j.spec.Mapping, opt)
+		// A spec without a mapping runs the default one (Runner.Run).
+		result, err := s.runner.Run(ctx, cells[0].Cfg, cells[0].W, j.spec.Mapping, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -1494,17 +1507,6 @@ func (s *Server) searchBody(ctx context.Context, j *job, sp search.Space, st sea
 		s.event(j, EventFrontUpdate, fmt.Sprintf("size=%d hv=%.6g", len(front), hv), nil)
 	}
 	return search.NewDriver(s.runner).Search(ctx, sp, st, opts)
-}
-
-func (s *Server) executeRun(ctx context.Context, c sim.SweepCell, m mapping.Mapping, opt sim.Options) (any, error) {
-	if m == nil {
-		dm, err := sim.DefaultMapping(c.Cfg, c.W)
-		if err != nil {
-			return nil, err
-		}
-		m = dm
-	}
-	return s.runner.Run(ctx, c.Cfg, c.W, m, opt)
 }
 
 func (s *Server) job(id string) (*job, bool) {
@@ -1617,10 +1619,13 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // writeJSON writes v as the response body, byte for byte as a json.Encoder
-// with SetIndent("", "  ") would: v is encoded compactly (a
-// json.RawMessage, such as a job's stored result, is taken as already
-// encoded) and then indented, both into pooled buffers. A value that does
-// not encode leaves the body empty, as the encoder does.
+// with SetIndent("", "  ") would: v is encoded compactly into a pooled
+// buffer (a json.RawMessage, such as a job's stored result, is taken as
+// already encoded) and indented by jsonl.AppendIndent into a second one.
+// AppendIndent does not validate, so a json.RawMessage passed here must be
+// valid JSON: every stored result is json.Marshal output or was parsed by
+// json.Unmarshal at replay. A value that does not encode leaves the body
+// empty, as the encoder does.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -1628,7 +1633,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	if !raw {
 		compact := jsonBufs.Get().(*bytes.Buffer)
 		defer putJSONBuf(compact)
-		// Encode ends the value with a newline, which Indent keeps.
+		// Encode ends the value with a newline, which AppendIndent keeps.
 		if err := json.NewEncoder(compact).Encode(v); err != nil {
 			return
 		}
@@ -1636,12 +1641,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 	out := jsonBufs.Get().(*bytes.Buffer)
 	defer putJSONBuf(out)
-	if err := json.Indent(out, src, "", "  "); err != nil {
-		return
-	}
+	b := jsonl.AppendIndent(out.AvailableBuffer(), src)
 	if raw {
-		out.WriteByte('\n')
+		b = append(b, '\n')
 	}
+	// Keep the bytes in out, so a body that outgrew it grows the pooled
+	// buffer; when they fit, the copy is onto itself.
+	out.Write(b)
 	_, _ = w.Write(out.Bytes())
 }
 

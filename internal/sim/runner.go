@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -29,6 +31,14 @@ import (
 // processor storage.
 type Runner struct {
 	eng *engine.Engine
+
+	// plans holds every cell's plan — its mappings, its requests and their
+	// keys — under the key Runner.plan encodes, for as long as the Runner
+	// and the engine memo those keys index. A warm evaluate or
+	// default-mapping run submits its memo hits without planning the
+	// oracle again or hashing a key.
+	plansMu sync.Mutex
+	plans   map[string]*evalPlan
 }
 
 // NewRunner builds a Runner on a fresh engine. opts.Workers bounds
@@ -39,7 +49,7 @@ func NewRunner(opts engine.Options) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{eng: eng}, nil
+	return &Runner{eng: eng, plans: map[string]*evalPlan{}}, nil
 }
 
 // Close releases the engine's workers.
@@ -205,15 +215,84 @@ func NewRequest(cfg config.Microarch, w workload.Workload, opt Options, policy s
 }
 
 // Run simulates one (configuration, workload, mapping) cell through the
-// engine, so repeated runs hit the cache. Like the package-level Run it is
-// sampled when opt.Sample is enabled.
+// engine, so repeated runs hit the cache. A nil m runs the default mapping
+// (DefaultMapping), planned and keyed once per Runner. Like the
+// package-level Run it is sampled when opt.Sample is enabled.
 func (r *Runner) Run(ctx context.Context, cfg config.Microarch, w workload.Workload, m mapping.Mapping, opt Options) (core.Results, error) {
-	req := withSample(newRequest(cfg, w, m, opt.Budget, opt.Warmup), opt)
-	results, err := r.eng.RunBatch(ctx, []engine.Request{req})
-	if err != nil {
-		return core.Results{}, err
+	var req engine.Request
+	var key string
+	if m == nil {
+		p, err := r.plan(runPlan, cfg, w, opt)
+		if err != nil {
+			return core.Results{}, err
+		}
+		req, key = p.reqs[0], p.keys[0]
+	} else {
+		req = withSample(newRequest(cfg, w, m, opt.Budget, opt.Warmup), opt)
+		key = req.Key()
 	}
-	return results[0], nil
+	tk, err := r.eng.SubmitKeyed(ctx, req, key)
+	if err != nil {
+		return core.Results{}, fmt.Errorf("sim: submitting %s: %w", req, err)
+	}
+	res, err := tk.Wait(ctx)
+	if err != nil {
+		return core.Results{}, fmt.Errorf("sim: %s: %w", req, err)
+	}
+	return res, nil
+}
+
+// The two kinds of plan a cell has: the BEST/HEUR/WORST batch of
+// planEvaluate and the one default-mapping run of planRun.
+const (
+	evaluatePlan byte = 'e'
+	runPlan      byte = 'r'
+)
+
+// plan returns the plan of kind for cfg on w under opt, with every
+// request's key, planning and keying it on the Runner's first use. The
+// cache key is one encoding of all that planning reads — the kind, the
+// full configuration, the workload and every Options field — so a plan is
+// never shared by inputs it does not fit. The cached plan owns copies of
+// cfg's and w's slices, so a caller that later changes its own cannot
+// change a plan.
+func (r *Runner) plan(kind byte, cfg config.Microarch, w workload.Workload, opt Options) (*evalPlan, error) {
+	var buf [1024]byte
+	b := engine.Request{Cfg: cfg, Workload: w, Budget: opt.Budget, Warmup: opt.Warmup,
+		SamplePeriod: opt.Sample.Period, SampleDetail: opt.Sample.Detail, SampleWarm: opt.Sample.Warm,
+	}.AppendJSON(append(buf[:0], kind))
+	b = strconv.AppendUint(append(b, ' '), opt.OracleBudget, 10)
+	b = strconv.AppendInt(append(b, ' '), int64(opt.MaxOracle), 10)
+	r.plansMu.Lock()
+	p := r.plans[string(b)]
+	r.plansMu.Unlock()
+	if p != nil {
+		return p, nil
+	}
+
+	cfg.Pipelines = slices.Clone(cfg.Pipelines)
+	w.Benchmarks = slices.Clone(w.Benchmarks)
+	var err error
+	if kind == runPlan {
+		p, err = planRun(cfg, w, opt)
+	} else {
+		p, err = planEvaluate(cfg, w, opt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	p.keys = make([]string, len(p.reqs))
+	for i, req := range p.reqs {
+		p.keys[i] = req.Key()
+	}
+	r.plansMu.Lock()
+	if q := r.plans[string(b)]; q != nil {
+		p = q // planned concurrently: keep the first
+	} else {
+		r.plans[string(b)] = p
+	}
+	r.plansMu.Unlock()
+	return p, nil
 }
 
 // Evaluate produces the Measurement for one configuration and workload:
@@ -246,14 +325,14 @@ func (r *Runner) EvaluateAll(ctx context.Context, cells []SweepCell, opt Options
 	offsets := make([]int, len(cells))
 	var tickets []*engine.Ticket
 	for i, c := range cells {
-		p, err := planEvaluate(c.Cfg, c.W, opt)
+		p, err := r.plan(evaluatePlan, c.Cfg, c.W, opt)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s on %s: %w", c.W.Name, c.Cfg.Name, err)
 		}
 		plans[i] = p
 		offsets[i] = len(tickets)
-		for _, req := range p.reqs {
-			tk, err := r.eng.Submit(ctx, req)
+		for k, req := range p.reqs {
+			tk, err := r.eng.SubmitKeyed(ctx, req, p.keys[k])
 			if err != nil {
 				return nil, fmt.Errorf("sim: submitting %s: %w", req, err)
 			}

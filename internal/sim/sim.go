@@ -7,6 +7,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"hdsmt/internal/bench"
@@ -203,7 +204,9 @@ type Measurement struct {
 // heuristic mapping at full budget plus every oracle mapping at the oracle
 // budget (or the single trivial run, for monolithic configurations).
 // Planning is separated from finishing so callers can concatenate many
-// cells' jobs into a single engine batch (see Runner.RunFigure).
+// cells' jobs into a single engine batch (see Runner.RunFigure). A
+// Runner caches plans (Runner.plan), so a plan is shared and read-only
+// once built: finish hands out copies of its mappings.
 type evalPlan struct {
 	cfg  config.Microarch
 	w    workload.Workload
@@ -211,6 +214,18 @@ type evalPlan struct {
 	hm   mapping.Mapping
 	all  []mapping.Mapping // oracle mappings; reqs[1+i] simulates all[i]
 	reqs []engine.Request
+	keys []string // keys[i] is reqs[i].Key()
+}
+
+// planRun plans one run of cfg on w under the default mapping, sampled
+// when opt enables it: the plan behind Runner.Run with a nil mapping.
+func planRun(cfg config.Microarch, w workload.Workload, opt Options) (*evalPlan, error) {
+	m, err := DefaultMapping(cfg, w)
+	if err != nil {
+		return nil, err
+	}
+	req := withSample(newRequest(cfg, w, m, opt.Budget, opt.Warmup), opt)
+	return &evalPlan{cfg: cfg, w: w, hm: m, reqs: []engine.Request{req}}, nil
 }
 
 func planEvaluate(cfg config.Microarch, w workload.Workload, opt Options) (*evalPlan, error) {
@@ -252,43 +267,38 @@ func planEvaluate(cfg config.Microarch, w workload.Workload, opt Options) (*eval
 }
 
 // finish folds the batch's results (in p.reqs order) into the Measurement.
+// Its mappings are copies: the plan is cached and shared (Runner.plan).
 func (p *evalPlan) finish(results []core.Results) Measurement {
-	meas := Measurement{Config: p.cfg.Name, Workload: p.w.Name}
+	meas := Measurement{Config: p.cfg.Name, Workload: p.w.Name, Heur: results[0].IPC}
+	best, worst := p.hm, p.hm
 	if p.mono {
-		r := results[0]
-		meas.Best, meas.Heur, meas.Worst = r.IPC, r.IPC, r.IPC
-		meas.BestMapping, meas.HeurMapping, meas.WorstMapping = p.hm, p.hm, p.hm
+		meas.Best, meas.Worst = meas.Heur, meas.Heur
 		meas.Mappings = 1
-		return meas
-	}
-
-	meas.Heur = results[0].IPC
-	meas.HeurMapping = p.hm
-	meas.Mappings = len(p.all)
-
-	oracle := results[1:]
-	best, worst := 0, 0
-	for i := range oracle {
-		if oracle[i].IPC > oracle[best].IPC {
-			best = i
+	} else {
+		meas.Mappings = len(p.all)
+		oracle := results[1:]
+		b, w := 0, 0
+		for i := range oracle {
+			if oracle[i].IPC > oracle[b].IPC {
+				b = i
+			}
+			if oracle[i].IPC < oracle[w].IPC {
+				w = i
+			}
 		}
-		if oracle[i].IPC < oracle[worst].IPC {
-			worst = i
+		meas.Best, best = oracle[b].IPC, p.all[b]
+		meas.Worst, worst = oracle[w].IPC, p.all[w]
+
+		// The oracle search may run at a reduced budget; the heuristic runs
+		// at full budget. Clamp so reported series stay consistent (BEST is
+		// by definition at least HEUR, WORST at most).
+		if meas.Heur > meas.Best {
+			meas.Best, best = meas.Heur, p.hm
+		}
+		if meas.Heur < meas.Worst {
+			meas.Worst, worst = meas.Heur, p.hm
 		}
 	}
-	meas.Best, meas.BestMapping = oracle[best].IPC, p.all[best]
-	meas.Worst, meas.WorstMapping = oracle[worst].IPC, p.all[worst]
-
-	// The oracle search may run at a reduced budget; the heuristic runs at
-	// full budget. Clamp so reported series stay consistent (BEST is by
-	// definition at least HEUR, WORST at most).
-	if meas.Heur > meas.Best {
-		meas.Best = meas.Heur
-		meas.BestMapping = p.hm
-	}
-	if meas.Heur < meas.Worst {
-		meas.Worst = meas.Heur
-		meas.WorstMapping = p.hm
-	}
+	meas.BestMapping, meas.HeurMapping, meas.WorstMapping = slices.Clone(best), slices.Clone(p.hm), slices.Clone(worst)
 	return meas
 }

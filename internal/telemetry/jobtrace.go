@@ -77,9 +77,15 @@ func (jt *JobTrace) NewSpanID() string {
 	}
 	jt.mu.Lock()
 	jt.seq++
-	id := fmt.Sprintf("%016x", jt.seq)
+	seq := jt.seq
 	jt.mu.Unlock()
-	return id
+	// 16 lower-case hex digits, zero-padded: fmt's %016x.
+	var id [16]byte
+	for i := len(id) - 1; i >= 0; i-- {
+		id[i] = "0123456789abcdef"[seq&0xf]
+		seq >>= 4
+	}
+	return string(id[:])
 }
 
 // Add records a completed span measured by the caller, minting its ID.

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -121,5 +123,17 @@ func TestTracerBounded(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("%s missing from registry snapshot", MetricTraceDropped)
+	}
+}
+
+// TestNewSpanIDFormat: span IDs are the trace's sequence number as 16
+// zero-padded lower-case hex digits, as fmt's %016x writes it.
+func TestNewSpanIDFormat(t *testing.T) {
+	jt := NewJobTrace(testTraceContext(), 8)
+	for _, seq := range []uint64{0, 1, 9, 0xa, 0xff, 0x123456789, 0xfedcba9876543210, math.MaxUint64 - 1} {
+		jt.seq = seq
+		if got, want := jt.NewSpanID(), fmt.Sprintf("%016x", seq+1); got != want {
+			t.Errorf("span ID after %d = %q, want %q", seq, got, want)
+		}
 	}
 }
