@@ -1,11 +1,11 @@
 // Command hdsmtd serves the hdSMT batch-simulation engine over HTTP:
 // submit runs, evaluations or whole BEST/HEUR/WORST sweeps as async jobs,
 // poll their progress, and fetch aggregated results. All jobs share one
-// engine and one memoization store; with -cache or -journal, results also
-// persist across restarts, and with -job-journal the job table itself is
+// engine and one memoization store; with -journal, results also persist
+// across restarts, and with -job-journal the job table itself is
 // durable — a killed daemon restarts knowing every job it ever accepted.
 //
-//	hdsmtd -addr :8080 -workers 8 -cache /var/tmp/hdsmt-cache
+//	hdsmtd -addr :8080 -workers 8 -journal /var/tmp/hdsmt-journal.jsonl
 //
 //	curl -s localhost:8080/jobs -d '{"kind":"sweep","configs":["M8","2M4+2M2"],"workloads":["2W7","4W6"],"budget":20000}'
 //	curl -s localhost:8080/jobs/job-000001
@@ -40,8 +40,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		workers  = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		cache    = flag.String("cache", "", "on-disk memoization store directory (optional)")
-		journal  = flag.String("journal", "", "JSONL checkpoint journal path (optional)")
+		journal  = flag.String("journal", "", "JSONL checkpoint journal path (optional): every simulation result is appended, and a restart preloads them all")
 		archives = flag.String("archives", "", "directory for named pareto-front archives (optional; a canceled \"pareto\" job resubmitted with the same archive name resumes its front)")
 		debug    = flag.Bool("debug", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
 
@@ -54,7 +53,7 @@ func main() {
 		jobTimeout  = flag.Duration("job-timeout", 0, "default per-job execution deadline, any kind (0 = none); jobs may lower it with timeout_sec")
 		maxBody     = flag.Int64("max-body", 1<<20, "largest accepted POST /jobs body in bytes")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM/SIGINT, how long to let accepted jobs finish before exiting")
-		faults      = flag.String("fault", "", "fault-injection spec for chaos testing, e.g. 'engine.store.save:err=0.3,engine.simulate:delay=5ms@0.5' (see internal/faultinject; empty = disabled)")
+		faults      = flag.String("fault", "", "fault-injection spec for chaos testing, e.g. 'engine.journal.append:err=0.3,engine.simulate:delay=5ms@0.5' (see internal/faultinject; empty = disabled)")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed for the fault-injection schedule (same seed + same spec = same faults)")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn or error (debug adds a per-request access line)")
 		logFormat   = flag.String("log-format", "text", "log output format: text (key=value) or json (one object per line)")
@@ -131,7 +130,6 @@ func main() {
 
 	runner, err := sim.NewRunner(engine.Options{
 		Workers:     *workers,
-		CacheDir:    *cache,
 		JournalPath: *journal,
 		Telemetry:   reg,
 		Log:         logger,

@@ -1,9 +1,9 @@
 // Package engine is the batch-simulation engine behind every sweep in this
 // repository: a bounded worker pool that executes content-addressed
 // simulation jobs asynchronously, memoizes their results in a sharded
-// in-memory store (optionally backed by disk), and journals completions to
-// a JSONL checkpoint so an interrupted sweep resumes without redoing
-// finished work.
+// in-memory store, and journals completions to a JSONL checkpoint so an
+// interrupted sweep — or a new process pointed at the same file — resumes
+// without redoing finished work.
 //
 // The paper's evaluation (BEST/HEUR/WORST oracles over every mapping ×
 // microarchitecture × workload) is embarrassingly parallel and heavily
@@ -23,6 +23,7 @@ import (
 
 	"hdsmt/internal/core"
 	"hdsmt/internal/faultinject"
+	"hdsmt/internal/jsonl"
 	"hdsmt/internal/obslog"
 	"hdsmt/internal/telemetry"
 )
@@ -43,10 +44,6 @@ type Options struct {
 	// QueueDepth bounds the pending-task queue; a full queue applies
 	// backpressure to Submit. 0 means a generous default.
 	QueueDepth int
-	// CacheDir, when non-empty, enables the on-disk memoization store:
-	// one JSON file per completed job, content-addressed by request key,
-	// shared across processes.
-	CacheDir string
 	// JournalPath, when non-empty, enables the JSONL checkpoint journal:
 	// every completed job appends one line, and a new engine pointed at
 	// the same path preloads all completed results, resuming the sweep.
@@ -60,14 +57,14 @@ type Options struct {
 	// exist solely as telemetry series, never in results.
 	Telemetry *telemetry.Registry
 	// Tracer, when non-nil, records per-job lifecycle spans — queue wait,
-	// store lookup, simulate, journal append, plus memo-hit/coalesce
+	// simulate, journal append, plus memo-hit/coalesce
 	// instants — for Chrome trace_event export. Each span is timed once
 	// and the same start/end also goes to the submitting request's
 	// JobTrace. Nil (the default) records nothing and, with no JobTrace
 	// bound, costs two pointer comparisons per site.
 	Tracer *telemetry.Tracer
-	// Log receives the engine's structured records (corrupt store
-	// entries, journal healing, runner panics), each carrying the
+	// Log receives the engine's structured records (journal healing and
+	// failed appends, runner panics), each carrying the
 	// request/correlation ID of the submission that scheduled the task.
 	// Nil means the process-default logger.
 	Log *obslog.Logger
@@ -103,8 +100,6 @@ type Stats struct {
 	// Hits counts submissions served from the in-memory store (including
 	// results preloaded from the journal).
 	Hits uint64
-	// DiskHits counts executions avoided by the on-disk store.
-	DiskHits uint64
 	// Coalesced counts submissions attached to an identical in-flight job.
 	Coalesced uint64
 	// Executed counts simulations actually run.
@@ -113,10 +108,6 @@ type Stats struct {
 	Errors uint64
 	// Restored counts journal entries preloaded at construction.
 	Restored uint64
-	// CorruptStore counts on-disk store entries that were corrupt or
-	// unreadable: each is logged and re-run as a miss (the rewrite heals
-	// the entry) instead of being silently swallowed.
-	CorruptStore uint64
 	// Panics counts runner panics recovered by the worker: each fails its
 	// one job (counted under Errors too) instead of taking the process
 	// down.
@@ -154,7 +145,7 @@ type task struct {
 	origin string
 	// jt/pspan are the request-scoped span buffer and parent span bound to
 	// the submit context (telemetry.WithSpan): the engine records its
-	// queue-wait/store-lookup/simulate/journal-append spans there so
+	// queue-wait/simulate/journal-append spans there so
 	// GET /jobs/{id}/trace serves a stitched tree. Telemetry only — never
 	// part of the cache key or results.
 	jt    *telemetry.JobTrace
@@ -206,8 +197,7 @@ type Engine struct {
 	opts    Options
 	shards  []*shard
 	queue   chan *task
-	store   *diskStore
-	journal *journal
+	journal *jsonl.Writer
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -239,14 +229,6 @@ func New(runner Runner, opts Options) (*Engine, error) {
 	}
 	e.tel = newInstruments(reg)
 
-	if opts.CacheDir != "" {
-		st, err := newDiskStore(opts.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		e.store = st
-	}
-
 	e.queue = make(chan *task, opts.queueDepth())
 	e.shards = make([]*shard, opts.shards())
 	for i := range e.shards {
@@ -257,16 +239,19 @@ func New(runner Runner, opts Options) (*Engine, error) {
 	}
 
 	if opts.JournalPath != "" {
-		j, entries, torn, err := openJournal(opts.JournalPath)
+		j, torn, err := jsonl.Open(opts.JournalPath, faultinject.PointJournalAppend, func(line []byte) error {
+			ent, err := decodeEntry(line)
+			if err != nil {
+				return err
+			}
+			e.shardFor(ent.Key).memo[ent.Key] = memoEntry{res: ent.Result}
+			e.tel.restored.Inc()
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
 		e.journal = j
-		for _, ent := range entries {
-			sh := e.shardFor(ent.Key)
-			sh.memo[ent.Key] = memoEntry{res: ent.Result}
-			e.tel.restored.Inc()
-		}
 		if torn > 0 {
 			e.tel.journalTorn.Add(float64(torn))
 			e.log.Warn("journal lines skipped; affected jobs re-run",
@@ -305,9 +290,7 @@ func (e *Engine) Close() {
 		}
 		break
 	}
-	if e.journal != nil {
-		e.journal.Close()
-	}
+	e.journal.Close()
 }
 
 // Accepting reports whether the engine still takes submissions — false
@@ -322,12 +305,10 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Submitted:        uint64(e.tel.submitted.Value()),
 		Hits:             uint64(e.tel.memoHits.Value()),
-		DiskHits:         uint64(e.tel.diskHits.Value()),
 		Coalesced:        uint64(e.tel.coalesced.Value()),
 		Executed:         uint64(e.tel.executed.Value()),
 		Errors:           uint64(e.tel.errors.Value()),
 		Restored:         uint64(e.tel.restored.Value()),
-		CorruptStore:     uint64(e.tel.storeCorrupt.Value()),
 		Panics:           uint64(e.tel.panics.Value()),
 		JournalTruncated: uint64(e.tel.journalTorn.Value()),
 	}
@@ -588,45 +569,16 @@ func (e *Engine) instant(jt *telemetry.JobTrace, pspan, name string, args map[st
 	jt.Add(pspan, name, "engine", now, now, args)
 }
 
-// execute runs one task: disk store first, then the runner; successes are
-// stored, journaled and handed to every waiter. The simulation itself runs
-// under the engine's context — a submitter's cancellation skips the task
-// only when every coalesced waiter has canceled.
+// execute runs one task through the runner; successes are journaled,
+// stored and handed to every waiter. The simulation itself runs under the
+// engine's context — a submitter's cancellation skips the task only when
+// every coalesced waiter has canceled.
 func (e *Engine) execute(sh *shard, t *task, w int) {
 	if e.withdrawIfUnwanted(sh, t) {
 		return
 	}
 	tid := w + 1
 	e.span(t, tid, "queue-wait", t.created, false)
-	if e.store != nil {
-		lookupStart := time.Now()
-		res, ok, err := e.store.load(t.key)
-		e.span(t, tid, "store-lookup", lookupStart, false)
-		switch {
-		case err != nil:
-			// A corrupt or unreadable entry is a counted, logged event —
-			// not a silent miss. The job re-runs and the rewrite below
-			// heals the entry.
-			e.tel.storeCorrupt.Inc()
-			e.log.Warn("corrupt store entry; re-running",
-				obslog.F("req", t.req), obslog.F("key", t.key[:12]),
-				obslog.F("request_id", t.origin), obslog.Err(err))
-		case ok:
-			e.tel.diskHits.Inc()
-			if e.journal != nil {
-				// A cache-served job still completes this sweep's cell;
-				// journal it so the checkpoint stays self-contained even
-				// if the cache directory later disappears.
-				jstart := time.Now()
-				_ = e.journal.append(t.key, res)
-				e.span(t, tid, "journal-append", jstart, false)
-			}
-			e.finish(sh, t, res, nil)
-			e.tel.jobSeconds.Observe(time.Since(t.created).Seconds())
-			return
-		}
-	}
-
 	simStart := time.Now()
 	res, err := e.simulate(t)
 	e.span(t, tid, "simulate", simStart, true)
@@ -636,13 +588,14 @@ func (e *Engine) execute(sh *shard, t *task, w int) {
 		e.finish(sh, t, core.Results{}, err)
 		return
 	}
-	if e.store != nil {
-		// Best effort: a failed disk write degrades to memory-only caching.
-		_ = e.store.save(t.key, res)
-	}
 	if e.journal != nil {
 		jstart := time.Now()
-		_ = e.journal.append(t.key, res)
+		if err := e.journal.Append(func(b []byte) ([]byte, error) { return appendEntry(b, t.key, res) }); err != nil {
+			// The job still succeeds; only its checkpoint is lost, and a
+			// resumed sweep re-runs it.
+			e.log.Warn("journal append failed; result not checkpointed",
+				obslog.F("key", t.key[:12]), obslog.F("request_id", t.origin), obslog.Err(err))
+		}
 		e.span(t, tid, "journal-append", jstart, false)
 	}
 	e.finish(sh, t, res, nil)

@@ -86,8 +86,7 @@ func TestRequestKey(t *testing.T) {
 // TestSampledRequestKeys pins the sampling-parameter keying: a sampled and
 // a full run of the same genotype are distinct jobs, every sampling
 // parameter participates in the key, and exact requests' keys — and
-// therefore every existing disk cache and journal — are untouched by the
-// new fields.
+// therefore every existing journal — are untouched by the new fields.
 func TestSampledRequestKeys(t *testing.T) {
 	full := testRequest(1)
 	sampled := testRequest(1)
@@ -382,47 +381,6 @@ func TestJournalResume(t *testing.T) {
 	gotJSON, _ := json.Marshal(got)
 	if string(wantJSON) != string(gotJSON) {
 		t.Error("resumed results differ from uninterrupted run")
-	}
-}
-
-func TestDiskStoreSharing(t *testing.T) {
-	dir := t.TempDir()
-	reqs := testBatch(5)
-
-	var exec1 atomic.Uint64
-	e1, err := engine.New(fakeRunner(&exec1), engine.Options{Workers: 2, CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := e1.RunBatch(context.Background(), reqs)
-	e1.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exec1.Load() != 5 {
-		t.Fatalf("cold run executed %d", exec1.Load())
-	}
-
-	// A second engine (fresh memory) over the same directory — as a new
-	// process would be — serves everything from disk.
-	var exec2 atomic.Uint64
-	e2, err := engine.New(fakeRunner(&exec2), engine.Options{Workers: 2, CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	got, err := e2.RunBatch(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exec2.Load() != 0 {
-		t.Errorf("disk-warm run executed %d simulations, want 0", exec2.Load())
-	}
-	if st := e2.Stats(); st.DiskHits != 5 {
-		t.Errorf("disk hits = %d, want 5", st.DiskHits)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Error("disk results differ")
 	}
 }
 

@@ -1,16 +1,9 @@
 package engine
 
 import (
-	"context"
 	"encoding/json"
-	"os"
-	"sync"
-	"time"
 
 	"hdsmt/internal/core"
-	"hdsmt/internal/faultinject"
-	"hdsmt/internal/jsonl"
-	"hdsmt/internal/retry"
 )
 
 // The checkpoint journal is an append-only JSONL file: one line per
@@ -19,67 +12,22 @@ import (
 // completed; pointing a new engine at the same path preloads every
 // journaled result, so the re-run only executes the remainder. A torn
 // final line (the process died mid-write) is counted, skipped and healed
-// on load (see internal/jsonl).
+// on load. The file is opened and appended through internal/jsonl.
 
 type journalEntry struct {
 	Key    string       `json:"key"`
 	Result core.Results `json:"result"`
 }
 
-type journal struct {
-	mu sync.Mutex
-	f  *os.File
+// decodeEntry parses one journal line; an error marks it torn or corrupt,
+// and its job simply re-runs.
+func decodeEntry(line []byte) (ent journalEntry, err error) {
+	err = json.Unmarshal(line, &ent)
+	return ent, err
 }
 
-// openJournal opens (creating if needed) the journal at path and returns
-// it along with every well-formed entry already present. torn counts the
-// lines skipped because they would not parse — a crash-truncated final
-// line, or corruption — so the caller can surface the heal in telemetry
-// instead of swallowing it.
-func openJournal(path string) (*journal, []journalEntry, int, error) {
-	var entries []journalEntry
-	f, torn, err := jsonl.OpenHealed(path, func(line []byte) error {
-		var ent journalEntry
-		if err := json.Unmarshal(line, &ent); err != nil {
-			return err // torn or corrupt line: the job simply re-runs
-		}
-		entries = append(entries, ent)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return &journal{f: f}, entries, torn, nil
-}
-
-// append journals one completed job. Each entry is written in a single
-// Write call so concurrent completions never interleave bytes; transient
-// write failures are retried with backoff before the append degrades to
-// best-effort.
-func (j *journal) append(key string, res core.Results) error {
-	b, err := json.Marshal(journalEntry{Key: key, Result: res})
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return retry.Do(context.Background(), ioRetryPolicy, func() error {
-		if err := faultinject.Hit(faultinject.PointJournalAppend); err != nil {
-			return err
-		}
-		_, werr := j.f.Write(b)
-		return werr
-	})
-}
-
-// ioRetryPolicy is the shared schedule for the engine's disk I/O: three
-// quick tries absorb transient failures (EINTR, a slow NFS mount, an
-// injected fault) without stalling a worker for long.
-var ioRetryPolicy = retry.Policy{Attempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}
-
-func (j *journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
+// appendEntry appends the journal line of one completed job to b.
+func appendEntry(b []byte, key string, res core.Results) ([]byte, error) {
+	line, err := json.Marshal(journalEntry{Key: key, Result: res})
+	return append(b, line...), err
 }

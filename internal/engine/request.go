@@ -39,7 +39,7 @@ type Request struct {
 	// Remap cycles on observed per-thread miss counts, migrating threads
 	// when the ranking changes (the paper's §7 dynamic-mapping proposal).
 	// 0 keeps the static mapping. omitempty keeps static requests' keys —
-	// and therefore every existing disk cache and journal — unchanged.
+	// and therefore every existing journal — unchanged.
 	Remap uint64 `json:"remap,omitempty"`
 	// SamplePeriod/SampleDetail/SampleWarm, when SamplePeriod is nonzero,
 	// select sampled execution (core.RunSampled) with these parameters.
@@ -47,7 +47,7 @@ type Request struct {
 	// and a full run of the same design point — or two sampled runs at
 	// different operating points — are different jobs and memoize
 	// separately. omitempty keeps exact requests' keys, and therefore every
-	// existing disk cache and journal, unchanged.
+	// existing journal, unchanged.
 	SamplePeriod uint64 `json:"sample_period,omitempty"`
 	SampleDetail uint64 `json:"sample_detail,omitempty"`
 	SampleWarm   uint64 `json:"sample_warm,omitempty"`
@@ -61,8 +61,8 @@ func (r Request) Sample() core.SampleParams {
 
 // Key returns the request's content-addressed identity: the hex SHA-256
 // of json.Marshal(r). Struct fields marshal in declaration order, so equal
-// requests produce equal keys across processes — the property the on-disk
-// store and the checkpoint journal rely on. The bytes come from AppendJSON,
+// requests produce equal keys across processes — the property the
+// checkpoint journal relies on. The bytes come from AppendJSON,
 // which writes what json.Marshal would without reflection, into a stack
 // buffer; TestRequestKeyGolden, TestAppendJSONCoversEveryField and
 // FuzzRequestKey hold it to json.Marshal.

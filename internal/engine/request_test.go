@@ -41,8 +41,8 @@ func keyCases() []Request {
 }
 
 // TestRequestKeyGolden pins keys computed with json.Marshal before the
-// encoder replaced it: the keys address the disk store and the journals,
-// so a changed key would orphan every stored result.
+// encoder replaced it: the keys address the checkpoint journal, so a
+// changed key would orphan every journaled result.
 func TestRequestKeyGolden(t *testing.T) {
 	want := []string{
 		"c2ba13c33c162f88067581da8d6885d5acf3f5c93198f9a385ab71afcfffe6ac",

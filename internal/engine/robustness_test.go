@@ -1,7 +1,9 @@
 package engine_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"hdsmt/internal/core"
 	"hdsmt/internal/engine"
 	"hdsmt/internal/faultinject"
+	"hdsmt/internal/obslog"
 )
 
 // TestJournalReplayHealsTruncatedLine pins the crash-recovery contract of
@@ -129,23 +132,19 @@ func TestRunnerPanicFailsOneJobOnly(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionStoreAndJournal: with error faults armed on every
-// I/O point, a sweep still completes — store-load faults degrade to
-// misses, store-save and journal-append faults degrade to best-effort —
-// and nothing crashes.
+// TestFaultInjectionStoreAndJournal: with error faults armed on the
+// journal's append point, a sweep still completes — a failed append
+// degrades to best-effort — and nothing crashes.
 func TestFaultInjectionStoreAndJournal(t *testing.T) {
 	t.Cleanup(faultinject.Disable)
 	dir := t.TempDir()
 	faultinject.Enable(99, map[string]faultinject.Fault{
-		faultinject.PointStoreLoad:     {Err: 0.5},
-		faultinject.PointStoreSave:     {Err: 0.5},
 		faultinject.PointJournalAppend: {Err: 0.5},
 	})
 
 	var executed atomic.Uint64
 	e, err := engine.New(fakeRunner(&executed), engine.Options{
 		Workers:     4,
-		CacheDir:    filepath.Join(dir, "cache"),
 		JournalPath: filepath.Join(dir, "journal.jsonl"),
 	})
 	if err != nil {
@@ -163,21 +162,14 @@ func TestFaultInjectionStoreAndJournal(t *testing.T) {
 	}
 	e.Close()
 
-	hit := false
-	for _, p := range []string{faultinject.PointStoreSave, faultinject.PointJournalAppend} {
-		if faultinject.CountsFor(p).Errs > 0 {
-			hit = true
-		}
-	}
-	if !hit {
+	if faultinject.CountsFor(faultinject.PointJournalAppend).Errs == 0 {
 		t.Error("no I/O fault ever triggered — the chaos run tested nothing")
 	}
 
-	// A second engine over the same (partially written) cache and journal
+	// A second engine over the same (partially written) journal
 	// still serves every result correctly with faults still armed.
 	e2, err := engine.New(fakeRunner(&executed), engine.Options{
 		Workers:     4,
-		CacheDir:    filepath.Join(dir, "cache"),
 		JournalPath: filepath.Join(dir, "journal.jsonl"),
 	})
 	if err != nil {
@@ -192,6 +184,54 @@ func TestFaultInjectionStoreAndJournal(t *testing.T) {
 		if res.Cycles != reqs[i].Budget {
 			t.Fatalf("re-run result %d corrupted: %+v", i, res)
 		}
+	}
+}
+
+// TestJournalAppendFailureIsLogged: an append that still fails after its
+// retries costs the job only its checkpoint. The job succeeds, and the
+// engine logs a Warn naming the key prefix and the submitting request.
+func TestJournalAppendFailureIsLogged(t *testing.T) {
+	t.Cleanup(faultinject.Disable)
+	faultinject.Enable(1, map[string]faultinject.Fault{faultinject.PointJournalAppend: {Err: 1}})
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	var logs bytes.Buffer
+	var executed atomic.Uint64
+	e, err := engine.New(fakeRunner(&executed), engine.Options{
+		Workers: 1, JournalPath: path, Log: obslog.New(&logs, obslog.WithJSON()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := testRequest(3)
+	ctx := obslog.WithRequestID(context.Background(), "req-journal-full")
+	tk, err := e.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := tk.Wait(ctx); err != nil || res.Cycles != req.Budget {
+		t.Fatalf("job under a failing journal = %+v, %v; want success", res, err)
+	}
+	e.Close()
+
+	if c := faultinject.CountsFor(faultinject.PointJournalAppend); c.Errs < 2 {
+		t.Errorf("append point failed %d times, want every retry to hit it", c.Errs)
+	}
+	if b, err := os.ReadFile(path); err != nil || len(b) != 0 {
+		t.Errorf("journal holds %q (%v), want nothing written", b, err)
+	}
+	var rec struct {
+		Level     string `json:"level"`
+		Msg       string `json:"msg"`
+		Key       string `json:"key"`
+		RequestID string `json:"request_id"`
+		Err       string `json:"err"`
+	}
+	if err := json.Unmarshal(logs.Bytes(), &rec); err != nil {
+		t.Fatalf("want exactly one log record, got %q: %v", logs.String(), err)
+	}
+	if rec.Level != "warn" || !strings.Contains(rec.Msg, "journal") || rec.Key != req.Key()[:12] ||
+		rec.RequestID != "req-journal-full" || !strings.Contains(rec.Err, faultinject.PointJournalAppend) {
+		t.Errorf("log record = %+v, want a warn naming key %s, the request ID and the injected error", rec, req.Key()[:12])
 	}
 }
 

@@ -11,34 +11,30 @@ import (
 // registry configured they land in a private registry, still backing
 // Stats() — so the hot path never branches on "is telemetry on".
 type instruments struct {
-	submitted    *telemetry.Counter
-	memoHits     *telemetry.Counter
-	diskHits     *telemetry.Counter
-	coalesced    *telemetry.Counter
-	executed     *telemetry.Counter
-	errors       *telemetry.Counter
-	restored     *telemetry.Counter
-	storeCorrupt *telemetry.Counter
-	panics       *telemetry.Counter
-	journalTorn  *telemetry.Counter
-	workerBusy   *telemetry.CounterVec
-	jobSeconds   *telemetry.Histogram
+	submitted   *telemetry.Counter
+	memoHits    *telemetry.Counter
+	coalesced   *telemetry.Counter
+	executed    *telemetry.Counter
+	errors      *telemetry.Counter
+	restored    *telemetry.Counter
+	panics      *telemetry.Counter
+	journalTorn *telemetry.Counter
+	workerBusy  *telemetry.CounterVec
+	jobSeconds  *telemetry.Histogram
 }
 
 func newInstruments(reg *telemetry.Registry) *instruments {
 	return &instruments{
-		submitted:    reg.Counter(telemetry.MetricEngineSubmitted, "Submit calls"),
-		memoHits:     reg.Counter(telemetry.MetricEngineMemoHits, "submissions served from the in-memory memo store"),
-		diskHits:     reg.Counter(telemetry.MetricEngineDiskHits, "executions avoided by the on-disk store"),
-		coalesced:    reg.Counter(telemetry.MetricEngineCoalesced, "submissions attached to an identical in-flight job"),
-		executed:     reg.Counter(telemetry.MetricEngineExecuted, "simulations actually run"),
-		errors:       reg.Counter(telemetry.MetricEngineErrors, "failed executions"),
-		restored:     reg.Counter(telemetry.MetricEngineRestored, "journal entries preloaded at construction"),
-		storeCorrupt: reg.Counter(telemetry.MetricEngineStoreCorrupt, "corrupt or unreadable on-disk store entries re-run as misses"),
-		panics:       reg.Counter(telemetry.MetricEnginePanics, "runner panics recovered by workers (each fails one job, not the process)"),
-		journalTorn:  reg.Counter(telemetry.MetricEngineJournalTorn, "truncated or corrupt journal lines skipped at load"),
-		workerBusy:   reg.CounterVec(telemetry.MetricEngineWorkerBusy, "time each worker spent executing tasks", "worker"),
-		jobSeconds:   reg.Histogram(telemetry.MetricEngineJobSeconds, "job latency from enqueue to completion (queue wait + execution)", nil),
+		submitted:   reg.Counter(telemetry.MetricEngineSubmitted, "Submit calls"),
+		memoHits:    reg.Counter(telemetry.MetricEngineMemoHits, "submissions served from the in-memory memo store"),
+		coalesced:   reg.Counter(telemetry.MetricEngineCoalesced, "submissions attached to an identical in-flight job"),
+		executed:    reg.Counter(telemetry.MetricEngineExecuted, "simulations actually run"),
+		errors:      reg.Counter(telemetry.MetricEngineErrors, "failed executions"),
+		restored:    reg.Counter(telemetry.MetricEngineRestored, "journal entries preloaded at construction"),
+		panics:      reg.Counter(telemetry.MetricEnginePanics, "runner panics recovered by workers (each fails one job, not the process)"),
+		journalTorn: reg.Counter(telemetry.MetricEngineJournalTorn, "truncated or corrupt journal lines skipped at load"),
+		workerBusy:  reg.CounterVec(telemetry.MetricEngineWorkerBusy, "time each worker spent executing tasks", "worker"),
+		jobSeconds:  reg.Histogram(telemetry.MetricEngineJobSeconds, "job latency from enqueue to completion (queue wait + execution)", nil),
 	}
 }
 

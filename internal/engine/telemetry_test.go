@@ -3,7 +3,6 @@ package engine_test
 import (
 	"context"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -13,81 +12,6 @@ import (
 	"hdsmt/internal/engine"
 	"hdsmt/internal/telemetry"
 )
-
-// TestCorruptStoreEntryRecovers is the regression test for silent
-// cache-miss on a torn disk-store write: a truncated entry must be
-// counted, the job re-run, and the entry healed by the rewrite.
-func TestCorruptStoreEntryRecovers(t *testing.T) {
-	dir := t.TempDir()
-	var executed atomic.Uint64
-	req := testRequest(1)
-
-	// Populate the store, then truncate the entry mid-JSON.
-	e, err := engine.New(fakeRunner(&executed), engine.Options{Workers: 1, CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRes, err := e.RunBatch(context.Background(), []engine.Request{req})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-	path := filepath.Join(dir, req.Key()+".json")
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh engine (empty memo) hits the torn entry, re-runs, heals.
-	e2, err := engine.New(fakeRunner(&executed), engine.Options{Workers: 1, CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	gotRes, err := e2.RunBatch(context.Background(), []engine.Request{req})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotRes, wantRes) {
-		t.Errorf("result after corruption = %+v, want %+v", gotRes, wantRes)
-	}
-	if executed.Load() != 2 {
-		t.Errorf("executed %d simulations, want 2 (corrupt entry must re-run)", executed.Load())
-	}
-	st := e2.Stats()
-	if st.CorruptStore != 1 {
-		t.Errorf("CorruptStore = %d, want 1", st.CorruptStore)
-	}
-	if st.DiskHits != 0 {
-		t.Errorf("DiskHits = %d, want 0 (corrupt entry is not a hit)", st.DiskHits)
-	}
-
-	// The rewrite healed the entry: a third engine serves it from disk.
-	healed, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(healed) {
-		t.Fatal("store entry not healed to valid JSON")
-	}
-	e3, err := engine.New(fakeRunner(&executed), engine.Options{Workers: 1, CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e3.Close()
-	if _, err := e3.RunBatch(context.Background(), []engine.Request{req}); err != nil {
-		t.Fatal(err)
-	}
-	if executed.Load() != 2 {
-		t.Errorf("healed entry re-ran the simulation (executed = %d)", executed.Load())
-	}
-	if e3.Stats().DiskHits != 1 {
-		t.Errorf("healed entry DiskHits = %d, want 1", e3.Stats().DiskHits)
-	}
-}
 
 // TestEngineTelemetry checks the registry-backed counters agree with
 // Stats, the Prometheus exposition carries the engine families, and the

@@ -1,6 +1,6 @@
 // Package faultinject is a seed-deterministic fault-injection registry:
 // named injection points scattered through I/O and execution paths
-// (engine store, journals, the simulate call) that can be armed to return
+// (the two journals, the simulate call) that can be armed to return
 // errors, add latency, or panic with configured probabilities.
 //
 // Disarmed — the default, and the only state production code ever runs
@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,14 +29,15 @@ import (
 )
 
 // Canonical injection-point names. Wired call sites use these constants;
-// chaos tests and the hdsmtd -faults flag refer to them by string.
+// chaos tests and the hdsmtd -fault flag refer to them by string.
 const (
-	PointStoreLoad        = "engine.store.load"
-	PointStoreSave        = "engine.store.save"
 	PointJournalAppend    = "engine.journal.append"
 	PointSimulate         = "engine.simulate"
 	PointJobJournalAppend = "server.jobjournal.append"
 )
+
+// Points lists every wired injection point; ParseSpec accepts no other.
+var Points = []string{PointJournalAppend, PointSimulate, PointJobJournalAppend}
 
 // ErrInjected is the error every armed error-fault returns, so callers
 // (and tests) can tell injected failures from organic ones.
@@ -158,7 +160,7 @@ func CountsFor(name string) Counts {
 	return p.counts
 }
 
-// ParseSpec parses the hdsmtd -faults flag syntax: a comma-separated
+// ParseSpec parses the hdsmtd -fault flag syntax: a comma-separated
 // list of point configurations,
 //
 //	point:attr=value+attr=value,point2:...
@@ -166,7 +168,10 @@ func CountsFor(name string) Counts {
 // with attributes err=<prob>, panic=<prob> and delay=<duration>[@prob],
 // e.g.
 //
-//	engine.store.load:err=0.3+delay=5ms@0.5,engine.simulate:panic=0.01
+//	engine.journal.append:err=0.3+delay=5ms@0.5,engine.simulate:panic=0.01
+//
+// A point not in Points is an error: armed under a misspelt name, a fault
+// would never fire.
 func ParseSpec(spec string) (map[string]Fault, error) {
 	out := map[string]Fault{}
 	for _, part := range strings.Split(spec, ",") {
@@ -177,6 +182,9 @@ func ParseSpec(spec string) (map[string]Fault, error) {
 		name, attrs, ok := strings.Cut(part, ":")
 		if !ok || name == "" {
 			return nil, fmt.Errorf("faultinject: %q: want point:attr=value[+...]", part)
+		}
+		if !slices.Contains(Points, name) {
+			return nil, fmt.Errorf("faultinject: %q: unknown point %q (want one of %s)", part, name, strings.Join(Points, ", "))
 		}
 		var f Fault
 		for _, attr := range strings.Split(attrs, "+") {

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -12,11 +13,11 @@ func TestDisarmedHitIsTransparent(t *testing.T) {
 		t.Fatal("registry armed at start")
 	}
 	for i := 0; i < 100; i++ {
-		if err := Hit(PointStoreLoad); err != nil {
+		if err := Hit(PointJournalAppend); err != nil {
 			t.Fatalf("disarmed Hit returned %v", err)
 		}
 	}
-	if c := CountsFor(PointStoreLoad); c != (Counts{}) {
+	if c := CountsFor(PointJournalAppend); c != (Counts{}) {
 		t.Errorf("disarmed counts = %+v, want zero", c)
 	}
 }
@@ -24,10 +25,10 @@ func TestDisarmedHitIsTransparent(t *testing.T) {
 func TestErrorInjectionIsSeedDeterministic(t *testing.T) {
 	t.Cleanup(Disable)
 	run := func(seed int64) []bool {
-		Enable(seed, map[string]Fault{PointStoreLoad: {Err: 0.5}})
+		Enable(seed, map[string]Fault{PointJournalAppend: {Err: 0.5}})
 		outcomes := make([]bool, 200)
 		for i := range outcomes {
-			outcomes[i] = Hit(PointStoreLoad) != nil
+			outcomes[i] = Hit(PointJournalAppend) != nil
 		}
 		return outcomes
 	}
@@ -91,26 +92,26 @@ func TestPanicInjection(t *testing.T) {
 
 func TestDelayInjection(t *testing.T) {
 	t.Cleanup(Disable)
-	Enable(1, map[string]Fault{PointStoreSave: {Delay: 20 * time.Millisecond}})
+	Enable(1, map[string]Fault{PointJobJournalAppend: {Delay: 20 * time.Millisecond}})
 	start := time.Now()
-	if err := Hit(PointStoreSave); err != nil {
+	if err := Hit(PointJobJournalAppend); err != nil {
 		t.Fatalf("delay-only fault returned %v", err)
 	}
 	if d := time.Since(start); d < 20*time.Millisecond {
 		t.Errorf("Hit returned after %v, want >= 20ms", d)
 	}
-	if c := CountsFor(PointStoreSave); c.Delays != 1 {
+	if c := CountsFor(PointJobJournalAppend); c.Delays != 1 {
 		t.Errorf("counts = %+v, want 1 delay", c)
 	}
 }
 
 func TestParseSpec(t *testing.T) {
-	faults, err := ParseSpec("engine.store.load:err=0.3+delay=5ms@0.5, engine.simulate:panic=0.01")
+	faults, err := ParseSpec("server.jobjournal.append:err=0.3+delay=5ms@0.5, engine.simulate:panic=0.01")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := faults["engine.store.load"]; got.Err != 0.3 || got.Delay != 5*time.Millisecond || got.DelayProb != 0.5 {
-		t.Errorf("store.load fault = %+v", got)
+	if got := faults["server.jobjournal.append"]; got.Err != 0.3 || got.Delay != 5*time.Millisecond || got.DelayProb != 0.5 {
+		t.Errorf("jobjournal.append fault = %+v", got)
 	}
 	if got := faults["engine.simulate"]; got.Panic != 0.01 {
 		t.Errorf("simulate fault = %+v", got)
@@ -127,15 +128,38 @@ func TestParseSpec(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"noattrs",
-		"p:err=2",
-		"p:panic=-1",
-		"p:delay=xyz",
-		"p:delay=1ms@1.5",
-		"p:frob=1",
-		"p:err",
+		"engine.simulate:err=2",
+		"engine.simulate:panic=-1",
+		"engine.simulate:delay=xyz",
+		"engine.simulate:delay=1ms@1.5",
+		"engine.simulate:frob=1",
+		"engine.simulate:err",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
+		}
+	}
+}
+
+// TestParseSpecRejectsUnknownPoint: a point name that no call site hits
+// would arm nothing, so ParseSpec refuses it and names the wired points;
+// each of those parses.
+func TestParseSpecRejectsUnknownPoint(t *testing.T) {
+	for _, bad := range []string{"engine.simulte:panic=1", "engine.store.save:err=0.3", "engine.simulate:err=1,p:err=1"} {
+		_, err := ParseSpec(bad)
+		if err == nil {
+			t.Errorf("ParseSpec(%q) accepted an unknown point", bad)
+			continue
+		}
+		for _, p := range Points {
+			if !strings.Contains(err.Error(), p) {
+				t.Errorf("ParseSpec(%q) error %q does not list point %s", bad, err, p)
+			}
+		}
+	}
+	for _, p := range Points {
+		if _, err := ParseSpec(p + ":err=1"); err != nil {
+			t.Errorf("wired point %s rejected: %v", p, err)
 		}
 	}
 }

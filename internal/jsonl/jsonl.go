@@ -2,16 +2,91 @@
 // the engine's checkpoint journal and the server's job journal: an
 // append-only file of one JSON document per line, opened with a replay
 // that tolerates — and heals — the partial final line a SIGKILL mid-write
-// leaves behind.
+// leaves behind, and appended to through one Writer.
 package jsonl
 
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"os"
+	"sync"
+	"time"
+
+	"hdsmt/internal/faultinject"
+	"hdsmt/internal/retry"
 )
+
+// Writer appends records to a JSONL file opened by Open. Each record is
+// encoded into a buffer the Writer reuses and goes to the file in a
+// single Write, so concurrent appends never interleave bytes. A nil
+// *Writer appends nothing.
+type Writer struct {
+	mu    sync.Mutex
+	f     *os.File
+	point string // fault-injection point hit before each write attempt
+	// buf holds the record being written, under mu; it keeps its capacity
+	// between appends unless a large record grew it past maxBuf.
+	buf []byte
+}
+
+const maxBuf = 64 << 10
+
+// appendRetry absorbs transient write failures (EINTR, a slow NFS mount,
+// an injected fault) in three quick tries without stalling the appender
+// for long.
+var appendRetry = retry.Policy{Attempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}
+
+// Open opens the JSONL file at path with OpenHealed, replaying every line
+// through decode, and returns a Writer appending to it; torn counts the
+// lines decode rejected. point names the fault-injection point each write
+// attempt hits.
+func Open(path, point string, decode func(line []byte) error) (*Writer, int, error) {
+	f, torn, err := OpenHealed(path, decode)
+	if err != nil {
+		return nil, 0, err
+	}
+	return &Writer{f: f, point: point}, torn, nil
+}
+
+// Append writes one record: enc appends it, without a newline, to the
+// empty buffer it is given and returns the result. A write that fails is
+// retried with backoff; the last error is returned, and no part of a
+// failed encoding is written.
+func (w *Writer) Append(enc func(b []byte) ([]byte, error)) error {
+	if w == nil {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	b, err := enc(w.buf[:0])
+	if err != nil {
+		return err
+	}
+	b = append(b, '\n')
+	if cap(b) <= maxBuf {
+		w.buf = b
+	}
+	return retry.Do(context.Background(), appendRetry, func() error {
+		if err := faultinject.Hit(w.point); err != nil {
+			return err
+		}
+		_, werr := w.f.Write(b)
+		return werr
+	})
+}
+
+// Close closes the file; a nil *Writer has none.
+func (w *Writer) Close() error {
+	if w == nil {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.f.Close()
+}
 
 // OpenHealed opens (creating if needed) the JSONL file at path, replays
 // every line through decode, and positions the file for appending.

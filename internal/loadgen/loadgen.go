@@ -127,9 +127,9 @@ type Pinned struct {
 	CompleteTimelines int `json:"complete_timelines"`
 
 	// Engine counter deltas across the run. CacheHitRate is the fraction
-	// of engine submissions not executed — memo hits, disk hits and
-	// coalesced joins together — deterministic even though the split
-	// between those three is race-dependent.
+	// of engine submissions not executed — memo hits and coalesced joins
+	// together — deterministic even though the split between the two is
+	// race-dependent.
 	EngineSubmitted uint64  `json:"engine_submitted"`
 	EngineExecuted  uint64  `json:"engine_executed"`
 	CacheHitRate    float64 `json:"cache_hit_rate"`

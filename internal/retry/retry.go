@@ -1,6 +1,6 @@
 // Package retry implements capped exponential backoff with jitter for
-// transient failures: engine store I/O, journal appends and HTTP clients
-// all share one Do helper instead of hand-rolled sleep loops.
+// transient failures: journal appends and HTTP clients all share one Do
+// helper instead of hand-rolled sleep loops.
 //
 // The policy is deliberately small: attempts, base/cap delay, a jitter
 // fraction and a seed. Jitter is drawn from a seeded source so tests (and

@@ -175,8 +175,8 @@ type Result struct {
 	// the engine; Simulations is the subset not served from the engine's
 	// in-memory store at submission — the search's own simulation cost
 	// (attribution is per-ticket, so concurrent jobs on the same runner
-	// cannot skew it; a request coalesced with or disk-served for another
-	// job still counts here, making Simulations an upper bound).
+	// cannot skew it; a request coalesced with another job still counts
+	// here, making Simulations an upper bound).
 	// CacheHitRate = 1 - Simulations/Submitted.
 	Simulations  uint64  `json:"simulations"`
 	Submitted    uint64  `json:"submitted"`

@@ -220,7 +220,7 @@ func (s *Server) event(j *job, typ, detail string, rec *jobEvent) {
 		rec = &jobEvent{Event: "timeline"}
 	}
 	rec.ID, rec.TL = j.id, &ev
-	if err := s.jj.append(*rec); err != nil {
+	if err := s.jj.Append(rec.appendJSON); err != nil {
 		j.log.Error("journaling event failed", obslog.Err(err), obslog.F("type", typ))
 	}
 	switch {

@@ -1,23 +1,21 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"os"
 	"strconv"
-	"sync"
 	"time"
 
 	"hdsmt/internal/faultinject"
 	"hdsmt/internal/jsonl"
-	"hdsmt/internal/retry"
 )
 
 // The job journal makes the server's job table durable: every job
 // transition appends one JSONL record, so a daemon killed at any instant
 // can replay the file and account for every job it ever accepted. It is
 // the same crash-safe substrate as the engine's checkpoint journal
-// (internal/jsonl) — a torn final line is counted, skipped and healed.
+// (internal/jsonl) — a torn final line is counted, skipped and healed,
+// and each record goes to the file in one write. Appends are best-effort
+// by contract: a failed one is logged, never fails a job.
 //
 // Record vocabulary, in a job's lifecycle order:
 //
@@ -106,22 +104,12 @@ func appendStringField(b []byte, key, v string) []byte {
 	return jsonl.AppendString(append(b, key...), v)
 }
 
-type jobJournal struct {
-	mu sync.Mutex
-	f  *os.File
-	// buf holds the record being written, under mu; it keeps its capacity
-	// between appends unless a large result grew it past maxJournalBuf.
-	buf []byte
-}
-
-const maxJournalBuf = 64 << 10
-
 // openJobJournal opens (creating if needed) the job journal at path and
-// returns every well-formed event already present, plus the count of torn
-// lines healed away — surfaced in telemetry by the caller.
-func openJobJournal(path string) (*jobJournal, []jobEvent, int, error) {
+// returns its writer, every well-formed event already present, and the
+// count of torn lines healed away — surfaced in telemetry by the caller.
+func openJobJournal(path string) (*jsonl.Writer, []jobEvent, int, error) {
 	var events []jobEvent
-	f, torn, err := jsonl.OpenHealed(path, func(line []byte) error {
+	jj, torn, err := jsonl.Open(path, faultinject.PointJobJournalAppend, func(line []byte) error {
 		var ev jobEvent
 		if err := json.Unmarshal(line, &ev); err != nil {
 			return err
@@ -132,46 +120,7 @@ func openJobJournal(path string) (*jobJournal, []jobEvent, int, error) {
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return &jobJournal{f: f}, events, torn, nil
-}
-
-// append journals one event. Best-effort by contract — the caller logs
-// but never fails a job over a journal write — but transient failures are
-// retried so a momentary stall doesn't silently punch a hole in the
-// recovery record. Single Write call per event: concurrent settlements
-// never interleave bytes.
-func (jj *jobJournal) append(ev jobEvent) error {
-	if jj == nil {
-		return nil
-	}
-	jj.mu.Lock()
-	defer jj.mu.Unlock()
-	b, err := ev.appendJSON(jj.buf[:0])
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if cap(b) <= maxJournalBuf {
-		jj.buf = b
-	}
-	return retry.Do(context.Background(), jobJournalRetry, func() error {
-		if err := faultinject.Hit(faultinject.PointJobJournalAppend); err != nil {
-			return err
-		}
-		_, werr := jj.f.Write(b)
-		return werr
-	})
-}
-
-var jobJournalRetry = retry.Policy{Attempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}
-
-func (jj *jobJournal) Close() error {
-	if jj == nil {
-		return nil
-	}
-	jj.mu.Lock()
-	defer jj.mu.Unlock()
-	return jj.f.Close()
+	return jj, events, torn, nil
 }
 
 // rfc3339 formats journal timestamps; empty for the zero time so replayed

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -113,6 +114,27 @@ func TestJobEventAppendMatchesMarshal(t *testing.T) {
 		t.Fatalf("filler left fields empty: %+v", ev)
 	}
 	checkRecord(t, ev)
+}
+
+// TestJobJournalAppendAllocs: journaling a record that carries no spec
+// allocates nothing once the writer's buffer has grown. Each job journals
+// four such records besides its accepted one, so a warm served job would
+// pay any allocation here several times over.
+func TestJobJournalAppendAllocs(t *testing.T) {
+	jj, _, _, err := openJobJournal(filepath.Join(t.TempDir(), "jobs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jj.Close()
+	for _, ev := range recordCases(t) {
+		if ev.Spec != nil {
+			continue // the accepted record marshals its spec by reflection
+		}
+		rec := &ev
+		if allocs := testing.AllocsPerRun(100, func() { _ = jj.Append(rec.appendJSON) }); allocs != 0 {
+			t.Errorf("%q record: %v allocations per append, want 0", ev.Event, allocs)
+		}
+	}
 }
 
 // FuzzJobEventRecord compares the record and SSE encoders with

@@ -647,8 +647,6 @@ func TestChaosInjectedFaultsNeverCrash(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "jobs.jsonl")
 	faultinject.Enable(1234, map[string]faultinject.Fault{
-		faultinject.PointStoreLoad:        {Err: 0.3},
-		faultinject.PointStoreSave:        {Err: 0.3},
 		faultinject.PointJournalAppend:    {Err: 0.3},
 		faultinject.PointJobJournalAppend: {Err: 0.2},
 		faultinject.PointSimulate:         {Err: 0.05},

@@ -267,7 +267,7 @@ type Server struct {
 
 	// jj is the durable job journal (WithJobJournal); nil disables
 	// durability and the server reverts to in-memory jobs only.
-	jj          *jobJournal
+	jj          *jsonl.Writer
 	journalPath string
 
 	adm       *admission

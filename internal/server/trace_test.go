@@ -16,16 +16,14 @@ import (
 	"hdsmt/internal/telemetry"
 )
 
-// newTracedServer builds a server whose engine has both a store and a
-// checkpoint journal, so every span kind the engine can record —
-// queue-wait, store-lookup, simulate, journal-append — actually appears
-// in a settled job's trace.
+// newTracedServer builds a server whose engine has a checkpoint journal,
+// so every span kind the engine can record — queue-wait, simulate,
+// journal-append — actually appears in a settled job's trace.
 func newTracedServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	dir := t.TempDir()
 	r, err := sim.NewRunner(engine.Options{
 		Workers:     2,
-		CacheDir:    dir + "/cache",
 		JournalPath: dir + "/journal.jsonl",
 	})
 	if err != nil {
@@ -47,8 +45,8 @@ func newTracedServer(t *testing.T) *httptest.Server {
 // end-to-end through the client package: a job submitted under a
 // client-minted trace context settles with a span tree rooted at the
 // client's span, with the admission and execute server spans parented
-// to the root and the engine's queue-wait, store-lookup, simulate and
-// journal-append spans parented to execute.
+// to the root and the engine's queue-wait, simulate and journal-append
+// spans parented to execute.
 func TestTraceparentRoundTrip(t *testing.T) {
 	ts := newTracedServer(t)
 	c := client.New(ts.URL)
@@ -95,7 +93,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 	walk(tp.Root)
 
-	for _, name := range []string{"admission", "execute", "queue-wait", "store-lookup", "simulate", "journal-append"} {
+	for _, name := range []string{"admission", "execute", "queue-wait", "simulate", "journal-append"} {
 		if _, ok := parents[name]; !ok {
 			t.Errorf("span %q missing from settled job's trace", name)
 		}
@@ -108,7 +106,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 			t.Errorf("%s span parent = %q, want root %q", name, parents[name], tc.SpanID)
 		}
 	}
-	for _, name := range []string{"queue-wait", "store-lookup", "simulate", "journal-append"} {
+	for _, name := range []string{"queue-wait", "simulate", "journal-append"} {
 		if parents[name] != ids["execute"] {
 			t.Errorf("%s span parent = %q, want execute span %q", name, parents[name], ids["execute"])
 		}

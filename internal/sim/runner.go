@@ -42,8 +42,8 @@ type Runner struct {
 }
 
 // NewRunner builds a Runner on a fresh engine. opts.Workers bounds
-// concurrent simulations (0 = GOMAXPROCS); CacheDir and JournalPath enable
-// the on-disk store and the checkpoint journal.
+// concurrent simulations (0 = GOMAXPROCS); JournalPath enables the
+// checkpoint journal.
 func NewRunner(opts engine.Options) (*Runner, error) {
 	eng, err := engine.New(simulate, opts)
 	if err != nil {

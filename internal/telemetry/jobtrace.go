@@ -30,8 +30,8 @@ type SpanRecord struct {
 }
 
 // JobTrace is one request's bounded span buffer: every span recorded for
-// the job — admission, queue wait, store lookups, simulations, journal
-// appends — parented into one tree rooted at the span the client named in
+// the job — admission, queue wait, simulations, journal appends —
+// parented into one tree rooted at the span the client named in
 // its traceparent header. Concurrency-safe; a nil *JobTrace no-ops every
 // method after one pointer comparison, so instrumented code calls
 // unconditionally.

@@ -87,9 +87,7 @@ func (r *Reporter) line() string {
 	if done == 0 {
 		// No search instrumented: report completed engine jobs instead.
 		unit = "jobs"
-		done = r.reg.Total(MetricEngineMemoHits) +
-			r.reg.Total(MetricEngineDiskHits) +
-			r.reg.Total(MetricEngineExecuted)
+		done = r.reg.Total(MetricEngineMemoHits) + r.reg.Total(MetricEngineExecuted)
 	}
 	s := fmt.Sprintf("progress: %.0f", done)
 	if total := r.total.Load(); total > 0 {

@@ -35,21 +35,19 @@ import (
 // Metric name constants shared by the instrumented layers and the
 // progress reporter, so a rename cannot silently decouple them.
 const (
-	MetricEngineSubmitted    = "hdsmt_engine_submitted_total"
-	MetricEngineMemoHits     = "hdsmt_engine_memo_hits_total"
-	MetricEngineDiskHits     = "hdsmt_engine_disk_hits_total"
-	MetricEngineCoalesced    = "hdsmt_engine_coalesced_total"
-	MetricEngineExecuted     = "hdsmt_engine_executed_total"
-	MetricEngineErrors       = "hdsmt_engine_errors_total"
-	MetricEngineRestored     = "hdsmt_engine_restored_total"
-	MetricEngineStoreCorrupt = "hdsmt_engine_store_corrupt_total"
-	MetricEnginePanics       = "hdsmt_engine_runner_panics_total"
-	MetricEngineJournalTorn  = "hdsmt_engine_journal_truncated_total"
-	MetricEngineCacheRatio   = "hdsmt_engine_cache_hit_ratio"
-	MetricEngineQueueDepth   = "hdsmt_engine_queue_depth"
-	MetricEngineShardDepth   = "hdsmt_engine_shard_queue_depth"
-	MetricEngineWorkerBusy   = "hdsmt_engine_worker_busy_seconds_total"
-	MetricEngineJobSeconds   = "hdsmt_engine_job_seconds"
+	MetricEngineSubmitted   = "hdsmt_engine_submitted_total"
+	MetricEngineMemoHits    = "hdsmt_engine_memo_hits_total"
+	MetricEngineCoalesced   = "hdsmt_engine_coalesced_total"
+	MetricEngineExecuted    = "hdsmt_engine_executed_total"
+	MetricEngineErrors      = "hdsmt_engine_errors_total"
+	MetricEngineRestored    = "hdsmt_engine_restored_total"
+	MetricEnginePanics      = "hdsmt_engine_runner_panics_total"
+	MetricEngineJournalTorn = "hdsmt_engine_journal_truncated_total"
+	MetricEngineCacheRatio  = "hdsmt_engine_cache_hit_ratio"
+	MetricEngineQueueDepth  = "hdsmt_engine_queue_depth"
+	MetricEngineShardDepth  = "hdsmt_engine_shard_queue_depth"
+	MetricEngineWorkerBusy  = "hdsmt_engine_worker_busy_seconds_total"
+	MetricEngineJobSeconds  = "hdsmt_engine_job_seconds"
 
 	MetricServerJobs        = "hdsmt_server_jobs_total"
 	MetricServerInflight    = "hdsmt_server_jobs_inflight"
