@@ -24,7 +24,7 @@ func main() {
 	var (
 		benchName = flag.String("benchmark", "", "benchmark whose stream to inspect (e.g. mcf)")
 		n         = flag.Uint64("n", 1_000_000, "instructions to generate")
-		stats     = flag.Bool("stats", false, "print the stream's instruction mix")
+		stats     = flag.Bool("stats", false, "print the stream's instruction mix and how much of the program it executed")
 		listAll   = flag.Bool("list", false, "list available benchmarks")
 	)
 	flag.Parse()
@@ -55,10 +55,17 @@ func printStats(b bench.Benchmark, n uint64) {
 	counts := map[isa.Class]uint64{}
 	taken := uint64(0)
 	var branches uint64
+	// executed marks each static instruction the stream reached: a stream
+	// caught in a few blocks it cannot leave covers little of the program.
+	executed, covered := make([]bool, prog.Len()), 0
 	var in isa.Instruction
 	for i := uint64(0); i < n; i++ {
 		s.NextInto(&in)
 		counts[in.Class]++
+		if st, _ := prog.StaticAt(in.PC); !executed[st.Index] {
+			executed[st.Index] = true
+			covered++
+		}
 		if in.Class == isa.Branch {
 			branches++
 			if in.Taken {
@@ -76,6 +83,7 @@ func printStats(b bench.Benchmark, n uint64) {
 	if branches > 0 {
 		fmt.Printf("  conditional taken rate: %.2f%%\n", 100*float64(taken)/float64(branches))
 	}
+	fmt.Printf("  static instructions executed: %d of %d\n", covered, prog.Len())
 }
 
 func fail(err error) {

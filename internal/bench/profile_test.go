@@ -20,7 +20,7 @@ func TestDCacheMissesPinned(t *testing.T) {
 	want := map[string]uint64{
 		"gzip": 708, "vpr": 51280, "gcc": 1195, "mcf": 76395,
 		"crafty": 627, "parser": 6336, "eon": 482, "perlbmk": 39390,
-		"gap": 889, "vortex": 5719, "bzip2": 998, "twolf": 43744,
+		"gap": 889, "vortex": 6076, "bzip2": 998, "twolf": 43744,
 	}
 	for _, b := range All() {
 		m, err := DCacheMisses(b, ProfileLen)
@@ -83,10 +83,10 @@ func TestProgramDigestsPinned(t *testing.T) {
 		"mcf":     {"7091e6913b85c7142c7411ef", "875617d43ae6769a30bf0fef"},
 		"crafty":  {"10fe48cccd424c5e45d56550", "f6a1d523fca02a365a67480e"},
 		"parser":  {"f76a6f7e41a3c5e0268fa7c1", "e5e2f36476ac6ac9d057bcc4"},
-		"eon":     {"c414004c5c20a2afd9d35fb9", "c8879ddfc2448c542c50919b"},
-		"perlbmk": {"1b6c3b4b3e79e0ab571244bc", "24965b1f90a091a27c9d551d"},
+		"eon":     {"18ec27ac58f8585c0b7d91b2", "ee964047946d70698dea91e8"},
+		"perlbmk": {"b07036d611f2130c2cf94201", "43d5548898abcb383980f764"},
 		"gap":     {"cde5d48d0b357ec0be0f2e20", "0cb30db4d64cd1cdcdedf826"},
-		"vortex":  {"ed9db0b36a9a5cf3fe72323f", "fb5f12cf384f3f491e830743"},
+		"vortex":  {"ccd07d5c653a4400dad73ff4", "708e825e650d6776d90852f2"},
 		"bzip2":   {"6f024025176479f8636faa17", "e3e7733f27570a6ee1b5c2a7"},
 		"twolf":   {"5ccbbf139ca9f4817d291a75", "511ad95609f840b9574d90d5"},
 	}

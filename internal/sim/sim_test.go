@@ -9,7 +9,9 @@ import (
 	"hdsmt/internal/area"
 	"hdsmt/internal/config"
 	"hdsmt/internal/engine"
+	"hdsmt/internal/isa"
 	"hdsmt/internal/mapping"
+	"hdsmt/internal/trace"
 	"hdsmt/internal/workload"
 )
 
@@ -27,6 +29,33 @@ func testRunner(t *testing.T) *Runner {
 	}
 	t.Cleanup(r.Close)
 	return r
+}
+
+// TestEonStreamNotTrapped: before the builder repaired trapping jumps,
+// eon's stream in 2W1 entered a four-block loop at instruction 27,946 and
+// executed its 40 instructions for the rest of any run. Well past that
+// point it must still cover a good part of the program.
+func TestEonStreamNotTrapped(t *testing.T) {
+	specs, err := Specs(workload.MustByName("2W1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eon := specs[0]
+	if eon.Name != "eon" {
+		t.Fatalf("2W1 thread 0 is %s, want eon", eon.Name)
+	}
+	s := trace.NewStream(eon.Program, eon.Seed, eon.DataBase)
+	s.Advance(100_000, nil, nil)
+	pcs := make(map[uint64]bool)
+	var in isa.Instruction
+	for range 50_000 {
+		s.NextInto(&in)
+		pcs[in.PC] = true
+	}
+	if len(pcs) < eon.Program.Len()/4 {
+		t.Errorf("eon executed %d distinct PCs in instructions 100,000-150,000, of %d static; want at least a quarter",
+			len(pcs), eon.Program.Len())
+	}
 }
 
 func TestSpecs(t *testing.T) {

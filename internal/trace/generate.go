@@ -267,6 +267,18 @@ func BuildProgram(g GenParams) (*Program, error) {
 		}
 	}
 
+	// A jump can close a set of blocks that the stream, once inside, never
+	// leaves for block 0 again. The highest-numbered block of such a set
+	// cannot fall through (its successor would be in the set), so it ends
+	// in the jump that closes the set: retarget that jump to the next
+	// block and look again. Each repair turns a backward jump into a
+	// forward one, so this ends; programs without a trap are unchanged.
+	for trapped := p.trapped(); len(trapped) > 0; trapped = p.trapped() {
+		last := trapped[len(trapped)-1]
+		insts := p.Blocks[last].Insts
+		insts[len(insts)-1].Target = starts[last+1]
+	}
+
 	p.finalize()
 	if err := p.Validate(); err != nil {
 		return nil, err

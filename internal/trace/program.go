@@ -207,10 +207,7 @@ func (p *Program) PCBounds() (lo, hi uint64) { return p.minPC, p.maxPC }
 // BlockAt returns the basic block starting at pc, if any.
 func (p *Program) BlockAt(pc uint64) (*Block, bool) {
 	// Blocks are laid out in ascending address order; binary search.
-	i := sort.Search(len(p.Blocks), func(i int) bool {
-		return p.Blocks[i].Start() >= pc
-	})
-	if i < len(p.Blocks) && p.Blocks[i].Start() == pc {
+	if i, ok := p.blockIndex(pc); ok {
 		return p.Blocks[i], true
 	}
 	return nil, false
@@ -218,10 +215,11 @@ func (p *Program) BlockAt(pc uint64) (*Block, bool) {
 
 // Validate checks structural invariants: contiguous 4-byte layout inside
 // blocks, control flow only at block ends, all static targets resolving to
-// block starts, and no Nop. The core's issue selection relies on the last:
-// every other class needs its issue queue's one functional-unit kind, so a
-// ready-list scan may stop at the first entry refused a unit. The
-// builder's tests and testing/quick properties use it.
+// block starts, no Nop, and no block the stream can reach from block 0
+// without being able to return there. The core's issue selection relies on
+// the Nop rule: every other class needs its issue queue's one
+// functional-unit kind, so a ready-list scan may stop at the first entry
+// refused a unit. The builder's tests and testing/quick properties use it.
 func (p *Program) Validate() error {
 	if len(p.Blocks) == 0 {
 		return fmt.Errorf("trace: program %q has no blocks", p.Name)
@@ -250,5 +248,90 @@ func (p *Program) Validate() error {
 			}
 		}
 	}
+	if trapped := p.trapped(); len(trapped) > 0 {
+		return fmt.Errorf("trace: program %q: block %d is reachable from block 0 but cannot return to it",
+			p.Name, trapped[0])
+	}
 	return nil
+}
+
+// successors returns the indexes of the blocks control can pass to from
+// the end of block bi. A call counts as returning to the block after it;
+// a return counts as the underflow restart at block 0. A biased or random
+// branch contributes only the directions its probability allows, and a
+// loop branch both.
+func (p *Program) successors(bi int) []int {
+	b := p.Blocks[bi]
+	term := &b.Insts[len(b.Insts)-1]
+	taken, falls := false, true
+	switch term.Class {
+	case isa.Jump:
+		taken, falls = true, false
+	case isa.Return:
+		return []int{0}
+	case isa.Branch:
+		if term.Kind == BranchLoop {
+			taken = term.Period > 1
+		} else {
+			taken, falls = term.TakenProb > 0, term.TakenProb < 1
+		}
+	}
+	var next []int
+	if taken {
+		if t, ok := p.blockIndex(term.Target); ok {
+			next = append(next, t)
+		}
+	}
+	if falls && bi+1 < len(p.Blocks) {
+		next = append(next, bi+1)
+	}
+	return next
+}
+
+// blockIndex returns the index of the block starting at pc.
+func (p *Program) blockIndex(pc uint64) (int, bool) {
+	i := sort.Search(len(p.Blocks), func(i int) bool {
+		return p.Blocks[i].Start() >= pc
+	})
+	return i, i < len(p.Blocks) && p.Blocks[i].Start() == pc
+}
+
+// trapped returns, in ascending order, the blocks the correct-path stream
+// can reach from block 0 but never leave for block 0 again: a stream that
+// enters one cycles through a fixed handful of blocks for the rest of the
+// run. Block 0 of a well-formed program is reachable from every block
+// reachable from it.
+func (p *Program) trapped() []int {
+	succ := make([][]int, len(p.Blocks))
+	pred := make([][]int, len(p.Blocks))
+	for bi := range p.Blocks {
+		succ[bi] = p.successors(bi)
+		for _, s := range succ[bi] {
+			pred[s] = append(pred[s], bi)
+		}
+	}
+	reach := func(edges [][]int) []bool {
+		seen := make([]bool, len(p.Blocks))
+		seen[0] = true
+		work := []int{0}
+		for len(work) > 0 {
+			b := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, n := range edges[b] {
+				if !seen[n] {
+					seen[n] = true
+					work = append(work, n)
+				}
+			}
+		}
+		return seen
+	}
+	fromEntry, toEntry := reach(succ), reach(pred)
+	var out []int
+	for bi := range p.Blocks {
+		if fromEntry[bi] && !toEntry[bi] {
+			out = append(out, bi)
+		}
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -167,6 +168,28 @@ func TestValidateRejectsNop(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsTrap: a block the stream can enter from block 0 but
+// never leave for it again — here a self-jump — makes every later
+// instruction of the run repeat the same few PCs, so Validate refuses it.
+func TestValidateRejectsTrap(t *testing.T) {
+	const base = 0x1000
+	at := func(k int) uint64 { return base + uint64(k)*isa.InstrBytes }
+	alu := func(k int) StaticInst { return StaticInst{PC: at(k), Class: isa.IntALU} }
+	p := &Program{Name: "trap", Blocks: []*Block{
+		{Insts: []StaticInst{alu(0), {PC: at(1), Class: isa.Branch, Kind: BranchRandom, TakenProb: 0.5, Target: at(4)}}},
+		{Insts: []StaticInst{alu(2), {PC: at(3), Class: isa.Jump, Target: at(2)}}},
+		{Insts: []StaticInst{alu(4), {PC: at(5), Class: isa.Jump, Target: at(0)}}},
+	}}
+	err := p.Validate()
+	if err == nil || !strings.Contains(err.Error(), "block 1 ") {
+		t.Fatalf("Validate on a self-jump trap: %v, want an error naming block 1", err)
+	}
+	p.Blocks[1].Insts[1].Target = at(4)
+	if err := p.Validate(); err != nil {
+		t.Fatalf("Validate after retargeting the trap's jump: %v", err)
+	}
+}
+
 func TestBlockAt(t *testing.T) {
 	p := mustBuild(t, testParams(3))
 	for _, b := range p.Blocks {
@@ -255,15 +278,22 @@ func TestGenParamsValidation(t *testing.T) {
 }
 
 // Property: programs built from random (valid) parameter variations always
-// validate and index correctly.
+// validate and index correctly. The terminator mix varies too, up to
+// mostly-jump bodies and always-taken biased branches, where unrepaired
+// programs routinely hold blocks the stream could never leave.
 func TestBuildProgramProperty(t *testing.T) {
-	f := func(seed uint64, nb, bl uint8) bool {
+	f := func(seed uint64, nb, bl, jump, loop, biased, bias uint8) bool {
 		g := testParams(seed)
 		g.NumBlocks = 5 + int(nb%50)
 		g.BlockMin = 1 + int(bl%5)
 		g.BlockMax = g.BlockMin + 8
+		g.JumpFrac = float64(jump%91) / 100
+		g.LoopFrac = float64(loop%101) / 100
+		g.BiasedFrac = float64(biased%101) / 100 * (1 - g.LoopFrac)
+		g.BiasProb = float64(50+bias%51) / 100
 		p, err := BuildProgram(g)
 		if err != nil {
+			t.Logf("%+v: %v", g, err)
 			return false
 		}
 		if p.Validate() != nil {
@@ -281,7 +311,7 @@ func TestBuildProgramProperty(t *testing.T) {
 		}
 		return want == p.Len()
 	}
-	cfg := &quick.Config{MaxCount: 25}
+	cfg := &quick.Config{MaxCount: 300}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
