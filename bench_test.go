@@ -430,24 +430,6 @@ func BenchmarkFairness(b *testing.B) {
 	b.ReportMetric(f.HarmonicFairness, "harmonic-fairness")
 }
 
-// BenchmarkDynamicMapping compares static §2.1 mapping against the §7
-// future-work dynamic remapping extension.
-func BenchmarkDynamicMapping(b *testing.B) {
-	cfg := config.MustParse("2M4+2M2")
-	w := workload.MustByName("4W7")
-	var r sim.DynamicResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		r, err = sim.RunDynamic(cfg, w, sim.DefaultRemapInterval, benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.StaticIPC, "IPC-static")
-	b.ReportMetric(r.DynamicIPC, "IPC-dynamic")
-	b.ReportMetric(float64(r.Migrations), "migrations")
-}
-
 // BenchmarkDesignSpaceExplore measures the extension design-space search:
 // an exhaustive enumeration of the machines of at most two pipelines.
 func BenchmarkDesignSpaceExplore(b *testing.B) {

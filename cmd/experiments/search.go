@@ -20,12 +20,12 @@ const (
 var searchSim = sim.Options{Budget: 2_000, Warmup: 1_000}
 
 // smallSpace is the space strategies are scored against: every multiset of
-// ≤ 3 pipelines × 3 queue scalings × static/dynamic mapping. It is small
-// enough to enumerate, so exhaustive search gives the ground truth.
+// ≤ 3 pipelines × 3 queue scalings × 2 decoupling-buffer scalings. It is
+// small enough to enumerate, so exhaustive search gives the ground truth.
 func smallSpace(wls []workload.Workload) search.Space {
 	sp := search.NewSpace(3, 0, wls)
 	sp.QueueScales = []int{75, 100, 125}
-	sp.RemapIntervals = []uint64{0, sim.DefaultRemapInterval}
+	sp.FetchBufScales = []int{100, 125}
 	return sp
 }
 
@@ -60,9 +60,9 @@ func exhaustiveOptimum(sp search.Space) (*search.Result, error) {
 }
 
 // sameMachine reports whether p is want's machine: the same
-// configuration, fetch policy and remap interval.
+// configuration and fetch policy.
 func sameMachine(p, want *search.TrajectoryPoint) bool {
-	return p != nil && p.Config == want.Config && p.Policy == want.Policy && p.Remap == want.Remap
+	return p != nil && p.Config == want.Config && p.Policy == want.Policy
 }
 
 // missedOptimum is the error of a strategy whose incumbent is not the
@@ -190,8 +190,8 @@ func genSearch(params) (any, error) {
 		}
 	}
 
-	// Enriched space: > 10⁴ genotypes — policies, remap intervals and both
-	// sizing axes in play. A budgeted ACO walk records the trajectory.
+	// Enriched space: thousands of genotypes — policies and both sizing
+	// axes in play. A budgeted ACO walk records the trajectory.
 	enriched := search.EnrichedSpace(4, 0, wls)
 	report.EnrichedSpace.Genotypes = enriched.Size()
 	aco, err := runSearch(enriched, "aco", search.Options{Budget: 48, Seed: seed, Sim: searchSim})

@@ -14,7 +14,7 @@
 // The metaheuristic strategies (random, hillclimb, aco and their
 // proxy-seeded variants) walk the same space under an evaluation budget,
 // usually widened (-enriched or explicit axes) to fetch policy ×
-// dynamic-remap interval × issue-queue and decoupling-buffer sizing. A
+// issue-queue and decoupling-buffer sizing. A
 // fixed -seed reproduces a search exactly.
 //
 // -objectives turns the run multi-objective (internal/pareto): the driver
@@ -65,9 +65,8 @@ func main() {
 		warmup    = flag.Uint64("warmup", 5_000, "warm-up instructions per thread")
 		evals     = flag.Int("evals", 64, "evaluation budget for the metaheuristic strategies")
 		seed      = flag.Int64("seed", 1, "random seed (fixed seed = reproducible trajectory)")
-		enriched  = flag.Bool("enriched", false, "search the full enriched space (policies × remap × sizings)")
+		enriched  = flag.Bool("enriched", false, "search the full enriched space (policies × sizings)")
 		policies  = flag.String("policies", "", "comma-separated fetch-policy axis (empty entry = config default)")
-		remaps    = flag.String("remap", "", "comma-separated dynamic-remap intervals in cycles (0 = static)")
 		qscales   = flag.String("qscales", "", "comma-separated issue/load-queue scales in percent")
 		fbscales  = flag.String("fbscales", "", "comma-separated decoupling-buffer scales in percent")
 		out       = flag.String("out", "", "also write the search result (trajectory, best machine, cost) to this JSON file")
@@ -132,15 +131,6 @@ func main() {
 		sp.Policies = strings.Split(*policies, ",")
 		for i := range sp.Policies {
 			sp.Policies[i] = strings.TrimSpace(sp.Policies[i])
-		}
-	}
-	if *remaps != "" {
-		sp.RemapIntervals = nil
-		for _, n := range splitInts(*remaps) {
-			if n < 0 {
-				fail(fmt.Errorf("remap interval %d must be non-negative", n))
-			}
-			sp.RemapIntervals = append(sp.RemapIntervals, uint64(n))
 		}
 	}
 	if *qscales != "" {
@@ -275,15 +265,14 @@ func writeFrontCSV(path string, res *search.Result) error {
 	}
 	defer f.Close()
 	w := csv.NewWriter(f)
-	header := []string{"machine", "config", "policy", "remap", "evaluations"}
+	header := []string{"machine", "config", "policy", "evaluations"}
 	header = append(header, metrics.Keys()...)
 	if err := w.Write(header); err != nil {
 		return err
 	}
 	for _, fp := range res.Front {
 		rec := []string{
-			fp.Name(), fp.Config, fp.Policy, strconv.FormatUint(fp.Remap, 10),
-			strconv.Itoa(fp.Evaluations),
+			fp.Name(), fp.Config, fp.Policy, strconv.Itoa(fp.Evaluations),
 		}
 		for _, key := range metrics.Keys() {
 			if v, ok := fp.Values[key]; ok {
@@ -318,7 +307,7 @@ func m8Reference(runner *sim.Runner, wls []workload.Workload, opt sim.Options) (
 	m8 := config.MustParse("M8")
 	reqs := make([]engine.Request, len(wls))
 	for i, w := range wls {
-		req, err := sim.NewRequest(m8, w, opt, "", 0)
+		req, err := sim.NewRequest(m8, w, opt, "")
 		if err != nil {
 			fail(err)
 		}

@@ -74,7 +74,6 @@ func (p *Processor) step() {
 	p.cycle++
 	p.work.Stepped++
 	p.stats.Cycles = p.cycle
-	p.maybeRemap()
 	p.commitStage()
 	p.writebackStage()
 	p.issueStage()
@@ -96,8 +95,8 @@ func (p *Processor) step() {
 //   - no thread is fetchable until some known future cycle.
 //
 // Every one of those blockers is lifted only by an event already on the
-// books — a completion, a FLUSH detection, an issue timer, an I-cache fill
-// arriving, or a dynamic-remap boundary — so the intermediate cycles are
+// books — a completion, a FLUSH detection, an issue timer or an I-cache
+// fill arriving — so the intermediate cycles are
 // exactly those the reference stepping would grind through without
 // effect, and skipping them is accounting-identical for every simulated
 // quantity. (The single exception is per-cycle stall-attempt polling
@@ -143,7 +142,7 @@ func (p *Processor) fastForward() {
 		if t.finished {
 			continue
 		}
-		if t.pipe >= 0 && t.flushStalled == nil && !t.wrongPathPC &&
+		if t.flushStalled == nil && !t.wrongPathPC &&
 			!p.pipes[t.pipe].FetchBuf.Full() {
 			if t.fetchReadyAt <= c+1 {
 				return // fetch engine can pick this thread next cycle
@@ -151,11 +150,6 @@ func (p *Processor) fastForward() {
 			if t.fetchReadyAt < limit {
 				limit = t.fetchReadyAt
 			}
-		}
-	}
-	if p.remapInterval != 0 {
-		if next := (c/p.remapInterval + 1) * p.remapInterval; next < limit {
-			limit = next
 		}
 	}
 	if p.horizon > c && p.horizon < limit {

@@ -151,41 +151,6 @@ func TestSteppingEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestSteppingEquivalenceDynamicRemap covers the dynamic-remapping path:
-// remap boundaries are wakeup events (the interval tick must not be
-// skipped over), and migration squashes must unsubscribe in-flight uops
-// from the wakeup structures.
-func TestSteppingEquivalenceDynamicRemap(t *testing.T) {
-	swap := func(misses []uint64, current []int) []int {
-		// Rotate threads across pipelines every interval: maximum churn.
-		out := make([]int, len(current))
-		for i, p := range current {
-			out[i] = p
-		}
-		if len(out) == 2 {
-			out[0], out[1] = out[1], out[0]
-		}
-		return out
-	}
-	run := func(extra ...Option) Results {
-		opts := append([]Option{WithDynamicMapping(1_500, swap)}, extra...)
-		p, err := New(config.MustParse("2M4+2M2"), testSpecs(t, "gzip", "mcf"), []int{0, 2}, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := p.Run(5_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	opt := run()
-	ref := run(WithReferenceStepping())
-	if !reflect.DeepEqual(opt, ref) {
-		t.Errorf("dynamic remap: results diverge\noptimized: %+v\nreference: %+v", opt, ref)
-	}
-}
-
 // TestReferenceSelectionOrder checks the reference selection's view of the
 // issue queues at every cycle of runs that share pipelines between threads:
 // the per-kind slices queueEntries builds by merging a pipeline's ROBs by

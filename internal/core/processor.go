@@ -102,18 +102,11 @@ type Processor struct {
 	// instruction in commit order (used by validation tests).
 	commitHook func(thread int, in isa.Instruction)
 
-	// Dynamic remapping (see dynamic.go).
-	remapInterval uint64
-	remapper      Remapper
-	migrations    uint64
-
 	// Scratch reused across cycles to avoid per-cycle allocation.
 	orderScratch []int
 	stateScratch []fetch.ThreadState
 	pollScratch  []int
 	entryScratch [3][]*pipeline.UOp // the reference selection's queue entries, by isa.Queue
-	remapMisses  []uint64
-	remapPipes   []int
 
 	// Warm-up: instructions each thread retires before measurement starts.
 	warmup       uint64
@@ -258,8 +251,6 @@ func Renew(old *Processor, cfg config.Microarch, specs []ThreadSpec, mapping []i
 		stateScratch: prev.stateScratch[:0],
 		pollScratch:  prev.pollScratch[:0],
 		entryScratch: prev.entryScratch,
-		remapMisses:  prev.remapMisses[:0],
-		remapPipes:   prev.remapPipes[:0],
 		baseThread:   prev.baseThread[:0],
 	}
 	p.hier = p.ownHier
@@ -621,6 +612,5 @@ func (s ThreadStats) sub(base ThreadStats) ThreadStats {
 		Flushes:      s.Flushes - base.Flushes,
 		LoadMisses:   s.LoadMisses - base.LoadMisses,
 		L2LoadMisses: s.L2LoadMisses - base.L2LoadMisses,
-		Migrations:   s.Migrations - base.Migrations,
 	}
 }

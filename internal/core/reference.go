@@ -30,7 +30,6 @@ func (p *Processor) stepReference() {
 	p.cycle++
 	p.work.Stepped++
 	p.stats.Cycles = p.cycle
-	p.maybeRemap()
 	p.commitAll()
 	p.writebackStage()
 	p.issueScanAll()
@@ -77,8 +76,8 @@ func (p *Processor) issueScanAll() {
 // p.entryScratch, one slice per queue kind, each in dispatch order. A
 // queue's entries are the dispatched uops of its class in the reorder
 // buffers of b's threads: every dispatched uop sits in both its queue and
-// its thread's ROB until it issues or is squashed, and its thread stays
-// on its pipeline meanwhile (a migration squashes everything first). Each
+// its thread's ROB until it issues or is squashed, and a thread never
+// leaves its pipeline. Each
 // ROB holds its thread's uops in dispatch order, so one merge of b's ROBs
 // by DispatchSeq visits every queue's entries in the queue's own order.
 // Issuing from one queue changes no other queue's entries, so the sort

@@ -27,16 +27,15 @@ type runStep struct {
 
 // observed is everything a finished processor reports.
 type observed struct {
-	Results    Results
-	Stats      Stats
-	Work       Work
-	Cycle      uint64
-	Migrations uint64
-	Caches     [3]cache.Stats
-	TLBs       [2]cache.Stats
-	Pred       any
-	BTB        any
-	RegFile    any
+	Results Results
+	Stats   Stats
+	Work    Work
+	Cycle   uint64
+	Caches  [3]cache.Stats
+	TLBs    [2]cache.Stats
+	Pred    any
+	BTB     any
+	RegFile any
 }
 
 func observe(t *testing.T, p *Processor, s runStep) observed {
@@ -58,7 +57,7 @@ func observe(t *testing.T, p *Processor, s runStep) observed {
 	}
 	h := p.Hierarchy()
 	return observed{
-		Results: r, Stats: p.GlobalStats(), Work: p.Work(), Cycle: p.Cycle(), Migrations: p.Migrations(),
+		Results: r, Stats: p.GlobalStats(), Work: p.Work(), Cycle: p.Cycle(),
 		Caches: [3]cache.Stats{h.L1I.Stats(), h.L1D.Stats(), h.L2.Stats()},
 		TLBs:   [2]cache.Stats{h.ITLB.Stats(), h.DTLB.Stats()},
 		Pred:   p.Predictor().Stats(), BTB: p.btb.Stats(), RegFile: p.rf.Stats(),
@@ -109,15 +108,12 @@ func deepCopy(t *testing.T, r Results) Results {
 
 // TestRenewMatchesNew runs a sequence of simulations of changing shape —
 // thread count, pipelines, stepping path, policy, hierarchy override,
-// sampled and dynamic runs, and a processor abandoned mid-run — each on
+// sampled runs, and a processor abandoned mid-run — each on
 // the previous one's processor through Renew, and checks that every one
 // reports exactly what a processor from New reports: Results, global and
 // per-structure statistics, work counts and clock. It also checks that no
 // Results changes after its processor is renewed.
 func TestRenewMatchesNew(t *testing.T) {
-	swap := func(misses []uint64, current []int) []int {
-		return []int{current[1], current[0]}
-	}
 	steps := []runStep{
 		{cfg: "2M4+2M2", names: []string{"gzip", "mcf"}, mapping: []int{0, 1}, opts: []Option{WithWarmup(1_000)}, budget: 3_000},
 		{cfg: "2M4+2M2", names: []string{"mcf", "twolf"}, mapping: []int{0, 2}, opts: []Option{WithReferenceStepping()}, budget: 2_000},
@@ -125,7 +121,6 @@ func TestRenewMatchesNew(t *testing.T) {
 		{cfg: "2M4+2M2", names: []string{"gcc", "vpr"}, mapping: []int{0, 1}, stepOnly: 700},
 		{cfg: "1M6+2M4+2M2", names: []string{"gcc", "vpr", "eon"}, mapping: []int{0, 1, 2}, opts: []Option{WithPolicy(fetch.ICount{})}, budget: 2_000},
 		{cfg: "2M4+2M2", names: []string{"gzip", "twolf"}, mapping: []int{0, 2}, sampled: true, budget: 800},
-		{cfg: "2M4+2M2", names: []string{"gzip", "mcf"}, mapping: []int{0, 2}, opts: []Option{WithDynamicMapping(700, swap)}, budget: 2_000},
 		{cfg: "M8", names: []string{"mcf"}, mapping: []int{0}, hier: true, budget: 2_000},
 		{cfg: "4M2", names: []string{"gzip", "mcf", "gcc", "twolf"}, mapping: []int{0, 1, 2, 3}, budget: 1_500},
 		{cfg: "2M4+2M2", names: []string{"gzip", "mcf"}, mapping: []int{0, 1}, opts: []Option{WithWarmup(1_000)}, budget: 3_000},

@@ -451,6 +451,30 @@ func (p *Processor) sampleDetailed(sp SampleParams, pipeBacking []PipeActivity) 
 	}, nil
 }
 
+// squashAllOf removes every in-flight uop of t (ROB and fetch buffer).
+func (p *Processor) squashAllOf(t *thread) {
+	for {
+		u, ok := t.rob.Tail()
+		if !ok {
+			break
+		}
+		t.rob.PopTail()
+		p.squashUOp(t, u)
+	}
+	t.headBusy = false
+	b := p.pipes[t.pipe]
+	b.FetchBuf.Do(func(i int, u *pipeline.UOp) bool {
+		if u.Thread == t.id && u.Stage == pipeline.StageFetched {
+			p.squashUOp(t, u)
+		}
+		return true
+	})
+	if t.icount != 0 || t.inflightLoads != 0 {
+		panic(fmt.Sprintf("core: thread %d accounting nonzero after full squash (icount=%d loads=%d)",
+			t.id, t.icount, t.inflightLoads))
+	}
+}
+
 // drainInflight squashes every in-flight instruction and empties the event
 // rings, returning the pipeline to the architectural state at the last
 // commit. The uop pool absorbs every record — nothing is reallocated for
@@ -501,8 +525,7 @@ func (p *Processor) drainInflight() {
 }
 
 // alignFetch repositions every thread's fetch engine at the oldest
-// uncommitted correct-path instruction (the same realignment a dynamic
-// remap performs on attach).
+// uncommitted correct-path instruction.
 func (p *Processor) alignFetch() {
 	for _, t := range p.threads {
 		t.rewindTo(t.committed)

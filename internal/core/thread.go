@@ -52,10 +52,9 @@ type thread struct {
 	renameMap pipeline.RenameMap
 
 	// Policy inputs and accounting.
-	remapMissBase uint64 // LoadMisses at the last remap interval
-	icount        int    // instructions in pre-issue stages
-	inflightLoads int    // loads fetched but not completed
-	doneUops      int    // completed-but-uncommitted uops in this ROB
+	icount        int // instructions in pre-issue stages
+	inflightLoads int // loads fetched but not completed
+	doneUops      int // completed-but-uncommitted uops in this ROB
 	committed     uint64
 	target        uint64 // finish when committed reaches this (0 = never)
 	finished      bool
@@ -82,7 +81,6 @@ type ThreadStats struct {
 	Flushes      uint64 // FLUSH-mechanism activations
 	LoadMisses   uint64 // L1D misses among this thread's issued loads
 	L2LoadMisses uint64
-	Migrations   uint64 // dynamic-mapping thread migrations
 }
 
 // reset makes t a new thread id running spec, with a robSize-entry ROB and
@@ -174,8 +172,7 @@ func (t *thread) retireTrim(committedSeq uint64) {
 
 // fetchable reports whether the fetch engine may pick this thread at cycle.
 func (t *thread) fetchable(cycle uint64) bool {
-	return t.pipe >= 0 &&
-		!t.finished &&
+	return !t.finished &&
 		t.flushStalled == nil &&
 		!t.wrongPathPC &&
 		t.fetchReadyAt <= cycle

@@ -35,12 +35,6 @@ type Request struct {
 	// Policy optionally overrides the fetch policy by name (as reported by
 	// fetch.Policy.Name); "" means the configuration's default.
 	Policy string `json:"policy,omitempty"`
-	// Remap, when nonzero, re-evaluates the §2.1 heuristic mapping every
-	// Remap cycles on observed per-thread miss counts, migrating threads
-	// when the ranking changes (the paper's §7 dynamic-mapping proposal).
-	// 0 keeps the static mapping. omitempty keeps static requests' keys —
-	// and therefore every existing journal — unchanged.
-	Remap uint64 `json:"remap,omitempty"`
 	// SamplePeriod/SampleDetail/SampleWarm, when SamplePeriod is nonzero,
 	// select sampled execution (core.RunSampled) with these parameters.
 	// Every sampling parameter participates in the key: a sampled estimate
@@ -137,7 +131,6 @@ func (r Request) AppendJSON(b []byte) []byte {
 		b = append(b, `,"policy":`...)
 		b = jsonl.AppendString(b, r.Policy)
 	}
-	b = appendNonzero(b, `,"remap":`, r.Remap)
 	b = appendNonzero(b, `,"sample_period":`, r.SamplePeriod)
 	b = appendNonzero(b, `,"sample_detail":`, r.SampleDetail)
 	b = appendNonzero(b, `,"sample_warm":`, r.SampleWarm)
@@ -183,9 +176,6 @@ func (r Request) String() string {
 	s := fmt.Sprintf("%s/%s map=%v budget=%d", r.Cfg.Name, r.Workload.Name, r.Mapping, r.Budget)
 	if r.Policy != "" {
 		s += " policy=" + r.Policy
-	}
-	if r.Remap != 0 {
-		s += fmt.Sprintf(" remap=%d", r.Remap)
 	}
 	if r.SamplePeriod != 0 {
 		s += fmt.Sprintf(" sampled=%d/%d+%d", r.SamplePeriod, r.SampleDetail, r.SampleWarm)

@@ -13,7 +13,7 @@ import (
 )
 
 // keyCases are requests whose keys are pinned below: the shapes the
-// engine is given (exact, policy, remap and sampled requests on scaled and
+// engine is given (exact, policy and sampled requests on scaled and
 // unscaled machines) plus strings that must leave the encoder's fast path
 // — non-ASCII, HTML-special, control and invalid UTF-8 bytes — and the
 // zero request with its nil slices.
@@ -30,11 +30,11 @@ func keyCases() []Request {
 		{Cfg: config.MustParse("M8"), Workload: workload.MustByName("2W1"), Mapping: mapping.Mapping{0, 0},
 			Budget: 10_000, Warmup: 10_000},
 		{Cfg: config.MustParse("2M4+2M2"), Workload: workload.MustByName("4W6"), Mapping: mapping.Mapping{0, 1, 2, 3},
-			Budget: 3_000, Warmup: 1_000, Policy: "ICOUNT.2.8", Remap: 5_000},
+			Budget: 3_000, Warmup: 1_000, Policy: "ICOUNT.2.8"},
 		{Cfg: config.MustParse("1M6+2M4+2M2"), Workload: workload.MustByName("6W3"), Mapping: mapping.Mapping{0, 0, 1, 2, 3, 4},
 			Budget: 50_000, Warmup: 10_000, SamplePeriod: 100_000, SampleDetail: 2_000, SampleWarm: 5_000},
 		{Cfg: config.NewMicroarch(scaled, scaled), Workload: workload.Workload{Name: "w", Benchmarks: []string{}, Type: workload.MIX},
-			Mapping: mapping.Mapping{}, Budget: math.MaxUint64, Remap: 1},
+			Mapping: mapping.Mapping{}, Budget: math.MaxUint64},
 		{Cfg: odd, Workload: workload.Workload{Name: "日本", Benchmarks: []string{"a<b", "c&d>", "", "\t\n", "é"}, Type: 255},
 			Mapping: mapping.Mapping{-1, 1 << 40}, Policy: "</script>"},
 	}
@@ -47,9 +47,9 @@ func TestRequestKeyGolden(t *testing.T) {
 	want := []string{
 		"c2ba13c33c162f88067581da8d6885d5acf3f5c93198f9a385ab71afcfffe6ac",
 		"4a5ac8b6d10d714317febc132d7530770d838e4be2235bb0691461ccf0f1b4e3",
-		"4075fe57b679b13d505dd30aa45e9bdf83f8a35624bc15965f4ad5a6de1aab16",
+		"5f76a6b1a15b2f21df9a8f2433f592f801b7da66de4359ddbe834bfd179071dd",
 		"fe1c62019c2f875cb250f6f01433372e4f87a69b3fa5260f08d147e60e13d8fb",
-		"643ef862c7a4813d7eff2930bd4b8c256cf62b16f8ce13cd808b32192e26ed39",
+		"d5ecb2dc157b00d1f99af8d281ef252fdbd6aa272e6f31d69b3461a4688843ea",
 		"46a5817f4bcd38ed1e4634b299cf02680933ecd5fc8bf010c9749566f52d2a65",
 	}
 	for i, r := range keyCases() {
@@ -158,9 +158,6 @@ func FuzzRequestKey(f *testing.F) {
 			for _, x := range nums {
 				r.Mapping = append(r.Mapping, int(int8(x))*int(c))
 			}
-		}
-		if flags&16 != 0 {
-			r.Remap = a ^ b
 		}
 		if flags&32 != 0 {
 			r.SamplePeriod, r.SampleDetail, r.SampleWarm = a, b, uint64(c)

@@ -101,16 +101,13 @@ type TrajectoryPoint struct {
 	Config string `json:"config"`
 	// Policy is the fetch-policy override ("" = configuration default).
 	Policy string `json:"policy,omitempty"`
-	// Remap is the dynamic-remap interval in cycles (0 = static).
-	Remap uint64 `json:"remap,omitempty"`
 	// Values holds the machine's metric values by registry key (the
 	// settled Score's Values; see Score).
 	Values metrics.Values `json:"values"`
 }
 
-// Name renders the point like Candidate.Name ("2M4+2M2", "3M4q75 FLUSH
-// r2048").
-func (tp TrajectoryPoint) Name() string { return renderName(tp.Config, tp.Policy, tp.Remap) }
+// Name renders the point like Candidate.Name ("2M4+2M2", "3M4q75 FLUSH").
+func (tp TrajectoryPoint) Name() string { return renderName(tp.Config, tp.Policy) }
 
 // Metric returns one of the point's metric values by registry key (0 when
 // absent).
@@ -500,7 +497,7 @@ func (s *evalState) submitCells(ctx context.Context, cand Candidate, triage bool
 	}
 	var cells []cellTickets
 	for _, w := range s.space.Workloads {
-		req, err := sim.NewRequest(cand.Cfg, w, simOpt, cand.Policy, cand.Remap)
+		req, err := sim.NewRequest(cand.Cfg, w, simOpt, cand.Policy)
 		if err != nil {
 			return nil, fmt.Errorf("search: %s on %s: %w", cand.Name(), w.Name, err)
 		}
@@ -708,7 +705,6 @@ func (s *evalState) record(j job, sc Score) error {
 		Evaluations: j.charge,
 		Config:      j.cand.Cfg.Name,
 		Policy:      j.cand.Policy,
-		Remap:       j.cand.Remap,
 		Values:      sc.Values,
 	}
 	if sc.Feasible && (s.res.Best == nil || sc.Metric("per_area") > s.res.Best.Metric("per_area")) {

@@ -36,8 +36,8 @@ func (s scripted) Run(ctx context.Context, sp *Space, rng *rand.Rand, eval Evalu
 func TestScoreSettledContract(t *testing.T) {
 	sp := smallSpace(t)
 	r := newTestRunner(t)
-	feasible := Point{1, 0, 0, 0, 0, 0, 0} // one M6
-	empty := Point{0, 0, 0, 0, 0, 0, 0}    // no pipelines: decode-infeasible
+	feasible := Point{1, 0, 0, 0, 0, 0} // one M6
+	empty := Point{0, 0, 0, 0, 0, 0}    // no pipelines: decode-infeasible
 	ran := false
 	_, err := NewDriver(r).Search(context.Background(), sp, scripted{fn: func(ctx context.Context, sp *Space, rng *rand.Rand, eval Evaluator) error {
 		ran = true
@@ -107,7 +107,7 @@ func TestScalarOptimumOnFront(t *testing.T) {
 	}
 	onFront := false
 	for _, fp := range mo.Front {
-		if fp.Config == scalar.Best.Config && fp.Policy == scalar.Best.Policy && fp.Remap == scalar.Best.Remap {
+		if fp.Config == scalar.Best.Config && fp.Policy == scalar.Best.Policy {
 			onFront = true
 		}
 	}
@@ -262,11 +262,11 @@ func TestPriors(t *testing.T) {
 
 	// The candidate-level proxy prefers the known optimum family: 2M2
 	// machines beat 3M4 on width per area.
-	c2m2, err := sp.Decode(Point{3, 3, 0, 0, 0, 0, 0})
+	c2m2, err := sp.Decode(Point{3, 3, 0, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c3m4, err := sp.Decode(Point{2, 2, 2, 0, 0, 0, 0})
+	c3m4, err := sp.Decode(Point{2, 2, 2, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}

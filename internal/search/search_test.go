@@ -32,13 +32,13 @@ func testWorkloads(t *testing.T) []workload.Workload {
 }
 
 // smallSpace is the shared test space: ≤ 3 pipelines with queue-size and
-// remap axes — 384 genotypes, 114 distinct machines, enumerable in
+// fetch-buffer axes — 384 genotypes, 114 distinct machines, enumerable in
 // seconds, rich enough for the guided strategies to earn their keep.
 func smallSpace(t *testing.T) Space {
 	t.Helper()
 	sp := NewSpace(3, 0, testWorkloads(t))
 	sp.QueueScales = []int{75, 100, 125}
-	sp.RemapIntervals = []uint64{0, 2_048}
+	sp.FetchBufScales = []int{100, 125}
 	return sp
 }
 
@@ -65,9 +65,10 @@ func TestSpaceSizeAndCandidates(t *testing.T) {
 
 	sp = smallSpace(t)
 	if got := sp.Size(); got != 384 {
-		t.Errorf("enriched Size = %d, want 384 (64 × 3 queue scales × 2 remaps)", got)
+		t.Errorf("enriched Size = %d, want 384 (64 × 3 queue scales × 2 fetch-buffer scales)", got)
 	}
-	// 19 multisets × 3 queue scales × 2 remaps = 114 distinct machines.
+	// 19 multisets × 3 queue scales × 2 fetch-buffer scales = 114 distinct
+	// machines.
 	if got := len(sp.Candidates()); got != 114 {
 		t.Errorf("enriched candidates = %d, want 114", got)
 	}
@@ -168,11 +169,11 @@ func TestSpaceValidate(t *testing.T) {
 func TestDecodeCanonicalization(t *testing.T) {
 	sp := smallSpace(t)
 	// Slots (M6, M4, -) and (M4, -, M6): same multiset {M6, M4}.
-	a, err := sp.Decode(Point{1, 2, 0, 0, 0, 1, 0})
+	a, err := sp.Decode(Point{1, 2, 0, 0, 1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sp.Decode(Point{2, 0, 1, 0, 0, 1, 0})
+	b, err := sp.Decode(Point{2, 0, 1, 0, 1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestDecodeCanonicalization(t *testing.T) {
 	}
 
 	// The empty machine is infeasible.
-	if _, err := sp.Decode(Point{0, 0, 0, 0, 0, 0, 0}); err == nil {
+	if _, err := sp.Decode(Point{0, 0, 0, 0, 0, 0}); err == nil {
 		t.Error("empty machine must be infeasible")
 	} else if _, ok := err.(ErrInfeasible); !ok {
 		t.Errorf("want ErrInfeasible, got %v", err)
@@ -193,38 +194,19 @@ func TestDecodeCanonicalization(t *testing.T) {
 	// Area caps bite.
 	capped := sp
 	capped.AreaCap = 1
-	if _, err := capped.Decode(Point{1, 0, 0, 0, 0, 0, 0}); err == nil {
+	if _, err := capped.Decode(Point{1, 0, 0, 0, 0, 0}); err == nil {
 		t.Error("area cap must reject every machine at 1 mm²")
-	}
-
-	// A remap interval on a monolithic machine normalizes to 0.
-	mono := NewSpace(1, 0, testWorkloads(t))
-	mono.Models = []config.Model{config.M8}
-	mono.RemapIntervals = []uint64{0, 2_048}
-	withRemap, err := mono.Decode(Point{1, 0, 1, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withRemap.Remap != 0 {
-		t.Errorf("monolithic remap = %d, want 0", withRemap.Remap)
-	}
-	static, err := mono.Decode(Point{1, 0, 0, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withRemap.Key() != static.Key() {
-		t.Error("monolithic remap choices must share one key")
 	}
 
 	// A policy equal to the machine's default normalizes to "", so the
 	// same machine is never charged twice via two policy spellings.
 	pol := smallSpace(t)
 	pol.Policies = []string{"", "L1MCOUNT", "ICOUNT2.8"}
-	deflt, err := pol.Decode(Point{1, 0, 0, 0, 0, 0, 0})
+	deflt, err := pol.Decode(Point{1, 0, 0, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spelled, err := pol.Decode(Point{1, 0, 0, 1, 0, 0, 0}) // L1MCOUNT: multipipe default
+	spelled, err := pol.Decode(Point{1, 0, 0, 1, 0, 0}) // L1MCOUNT: multipipe default
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +214,7 @@ func TestDecodeCanonicalization(t *testing.T) {
 		t.Errorf("explicit default policy not normalized: %q (keys equal: %v)",
 			spelled.Policy, spelled.Key() == deflt.Key())
 	}
-	override, err := pol.Decode(Point{1, 0, 0, 2, 0, 0, 0})
+	override, err := pol.Decode(Point{1, 0, 0, 2, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,10 +322,9 @@ func TestStrategiesFindOptimum(t *testing.T) {
 			if res.Best == nil {
 				t.Fatal("no feasible point found")
 			}
-			if res.Best.Config != exh.Best.Config || res.Best.Remap != exh.Best.Remap || res.Best.Policy != exh.Best.Policy {
-				t.Errorf("best = %s r%d %q, exhaustive optimum = %s r%d %q",
-					res.Best.Config, res.Best.Remap, res.Best.Policy,
-					exh.Best.Config, exh.Best.Remap, exh.Best.Policy)
+			if res.Best.Config != exh.Best.Config || res.Best.Policy != exh.Best.Policy {
+				t.Errorf("best = %s %q, exhaustive optimum = %s %q",
+					res.Best.Config, res.Best.Policy, exh.Best.Config, exh.Best.Policy)
 			}
 			if limit := exh.Simulations * 30 / 100; res.Simulations > limit {
 				t.Errorf("simulations = %d, want <= %d (30%% of exhaustive's %d)",

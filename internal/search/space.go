@@ -1,7 +1,7 @@
 // Package search is the metaheuristic design-space optimizer: it describes
 // an enriched hdSMT configuration space — pipeline multiset under an area
-// budget, fetch policy, dynamic-remap interval, and scaled issue-queue /
-// decoupling-buffer sizes — and searches it for the best performance per
+// budget, fetch policy, and scaled issue-queue / decoupling-buffer sizes —
+// and searches it for the best performance per
 // area (the paper's complexity-effectiveness objective) with pluggable
 // strategies: exhaustive enumeration, seeded random sampling, greedy
 // hill-climbing with restarts, and ant-colony optimization.
@@ -32,8 +32,8 @@ const noModel = 0
 
 // Space is a parameterized hdSMT design space. Each axis is a small
 // categorical dimension; a Point picks one choice per dimension and
-// decodes deterministically to a concrete machine (config.Microarch, fetch
-// policy, remap interval). The zero value is not useful; construct with
+// decodes deterministically to a concrete machine (config.Microarch and
+// fetch policy). The zero value is not useful; construct with
 // NewSpace or fill the fields and call Validate.
 type Space struct {
 	// Models are the pipeline models choosable per slot. MaxPipes slots
@@ -48,8 +48,6 @@ type Space struct {
 	// Policies are the fetch-policy choices by name; "" means the
 	// configuration's default (FLUSH monolithic, L1MCOUNT multipipeline).
 	Policies []string
-	// RemapIntervals are the dynamic-remap choices in cycles; 0 = static.
-	RemapIntervals []uint64
 	// QueueScales are issue/load-queue size scales in percent (100 = the
 	// paper's sizes), applied to every pipeline of the machine.
 	QueueScales []int
@@ -74,7 +72,6 @@ func NewSpace(maxPipes int, areaCap float64, wls []workload.Workload) Space {
 		MaxPipes:       maxPipes,
 		AreaCap:        areaCap,
 		Policies:       []string{""},
-		RemapIntervals: []uint64{0},
 		QueueScales:    []int{100},
 		FetchBufScales: []int{100},
 		Workloads:      wls,
@@ -83,13 +80,12 @@ func NewSpace(maxPipes int, areaCap float64, wls []workload.Workload) Space {
 
 // EnrichedSpace returns the full search space used by the CLI and the
 // server when no axes are given explicitly: up to maxPipes M6/M4/M2
-// pipelines, the three fetch policies, static vs two remap intervals, and
-// ±25% issue-queue and decoupling-buffer sizings. With maxPipes 4 this is
-// a 20,736-genotype space — far past exhaustive reach at paper budgets.
+// pipelines, the three fetch policies, and ±25% issue-queue and
+// decoupling-buffer sizings. With maxPipes 4 this is a 6,912-genotype
+// space — far past exhaustive reach at paper budgets.
 func EnrichedSpace(maxPipes int, areaCap float64, wls []workload.Workload) Space {
 	sp := NewSpace(maxPipes, areaCap, wls)
 	sp.Policies = []string{"", "ICOUNT2.8", "FLUSH"}
-	sp.RemapIntervals = []uint64{0, 2_048, 8_192}
 	sp.QueueScales = []int{75, 100, 125}
 	sp.FetchBufScales = []int{75, 100, 125}
 	return sp
@@ -123,7 +119,6 @@ func (s *Space) Validate() error {
 		n    int
 	}{
 		{"Policies", len(s.Policies)},
-		{"RemapIntervals", len(s.RemapIntervals)},
 		{"QueueScales", len(s.QueueScales)},
 		{"FetchBufScales", len(s.FetchBufScales)},
 	} {
@@ -200,14 +195,14 @@ func (p Point) Clone() Point {
 }
 
 // Dims returns the cardinality of each dimension: MaxPipes slot dimensions
-// (len(Models)+1 choices each — a model or none), then the policy, remap,
+// (len(Models)+1 choices each — a model or none), then the policy,
 // queue-scale and fetch-buffer-scale dimensions.
 func (s *Space) Dims() []int {
-	dims := make([]int, 0, s.MaxPipes+4)
+	dims := make([]int, 0, s.MaxPipes+3)
 	for i := 0; i < s.MaxPipes; i++ {
 		dims = append(dims, len(s.Models)+1)
 	}
-	return append(dims, len(s.Policies), len(s.RemapIntervals), len(s.QueueScales), len(s.FetchBufScales))
+	return append(dims, len(s.Policies), len(s.QueueScales), len(s.FetchBufScales))
 }
 
 // Size returns the number of genotypes (the product of dimension
@@ -233,28 +228,22 @@ type Candidate struct {
 	Cfg config.Microarch
 	// Policy is the fetch-policy override ("" = configuration default).
 	Policy string
-	// Remap is the dynamic-remap interval in cycles (0 = static).
-	Remap uint64
 	// Area is the machine's total area in mm².
 	Area float64
 }
 
 // renderName is the one rendering rule for decoded points, shared by
-// Candidate.Name and TrajectoryPoint.Name: the configuration name plus
-// policy-override and remap-interval suffixes.
-func renderName(config, policy string, remap uint64) string {
-	n := config
+// Candidate.Name and TrajectoryPoint.Name: the configuration name plus a
+// policy-override suffix.
+func renderName(config, policy string) string {
 	if policy != "" {
-		n += " " + policy
+		return config + " " + policy
 	}
-	if remap != 0 {
-		n += fmt.Sprintf(" r%d", remap)
-	}
-	return n
+	return config
 }
 
-// Name renders the candidate compactly ("2M4+2M2", "3M4q75 FLUSH r2048").
-func (c Candidate) Name() string { return renderName(c.Cfg.Name, c.Policy, c.Remap) }
+// Name renders the candidate compactly ("2M4+2M2", "3M4q75 FLUSH").
+func (c Candidate) Name() string { return renderName(c.Cfg.Name, c.Policy) }
 
 // Key is the candidate's content-addressed identity: a hex SHA-256 over
 // the full decoded machine (parameters included) and its evaluation axes.
@@ -264,8 +253,7 @@ func (c Candidate) Key() string {
 	b, err := json.Marshal(struct {
 		Cfg    config.Microarch `json:"cfg"`
 		Policy string           `json:"policy,omitempty"`
-		Remap  uint64           `json:"remap,omitempty"`
-	}{c.Cfg, c.Policy, c.Remap})
+	}{c.Cfg, c.Policy})
 	if err != nil {
 		// Plain data; Marshal cannot fail. Guard like engine.Request.Key.
 		panic(fmt.Sprintf("search: marshaling candidate key: %v", err))
@@ -281,9 +269,8 @@ type ErrInfeasible struct{ Reason string }
 func (e ErrInfeasible) Error() string { return "search: infeasible point: " + e.Reason }
 
 // Decode maps a genotype to its machine. Slot order is canonicalized (the
-// multiset is what matters), scaled models are applied, a remap interval
-// on a monolithic machine normalizes to 0 and a policy equal to the
-// machine's default to "", so equivalent genotypes share one Candidate
+// multiset is what matters), scaled models are applied and a policy equal
+// to the machine's default normalizes to "", so equivalent genotypes share one Candidate
 // key. Returns ErrInfeasible for empty machines and area-cap violations.
 func (s *Space) Decode(p Point) (Candidate, error) {
 	dims := s.Dims()
@@ -296,8 +283,8 @@ func (s *Space) Decode(p Point) (Candidate, error) {
 		}
 	}
 
-	qPct := s.QueueScales[p[s.MaxPipes+2]]
-	fPct := s.FetchBufScales[p[s.MaxPipes+3]]
+	qPct := s.QueueScales[p[s.MaxPipes+1]]
+	fPct := s.FetchBufScales[p[s.MaxPipes+2]]
 	var models []config.Model
 	for slot := 0; slot < s.MaxPipes; slot++ {
 		choice := p[slot]
@@ -325,11 +312,7 @@ func (s *Space) Decode(p Point) (Candidate, error) {
 	cand := Candidate{
 		Cfg:    cfg,
 		Policy: s.Policies[p[s.MaxPipes]],
-		Remap:  s.RemapIntervals[p[s.MaxPipes+1]],
 		Area:   a,
-	}
-	if cfg.Monolithic {
-		cand.Remap = 0
 	}
 	if cand.Policy == fetch.ForConfig(cfg.Monolithic).Name() {
 		cand.Policy = "" // the machine's own default: one key, one charge

@@ -127,8 +127,7 @@ func (d *Driver) scorePoint(ctx context.Context, sp *Space, tp TrajectoryPoint, 
 		return nil, err
 	}
 	return &TrajectoryPoint{
-		Config: cand.Cfg.Name, Policy: cand.Policy, Remap: cand.Remap,
-		Values: sc.Values,
+		Config: cand.Cfg.Name, Policy: cand.Policy, Values: sc.Values,
 	}, nil
 }
 
@@ -140,7 +139,7 @@ func candidateFromTrajectory(tp TrajectoryPoint) (Candidate, error) {
 	if err != nil {
 		return Candidate{}, err
 	}
-	return Candidate{Cfg: cfg, Policy: tp.Policy, Remap: tp.Remap, Area: tp.Metric("area")}, nil
+	return Candidate{Cfg: cfg, Policy: tp.Policy, Area: tp.Metric("area")}, nil
 }
 
 // Gains lists the report's specialized-vs-generic per-area deltas in class

@@ -120,7 +120,6 @@ type JobSpec struct {
 	MaxPipes       int      `json:"max_pipes,omitempty"`
 	AreaCap        float64  `json:"area_cap,omitempty"`
 	Policies       []string `json:"policies,omitempty"`
-	RemapIntervals []uint64 `json:"remap_intervals,omitempty"`
 	QueueScales    []int    `json:"queue_scales,omitempty"`
 	FetchBufScales []int    `json:"fetch_buf_scales,omitempty"`
 
@@ -1015,9 +1014,6 @@ func (s *Server) resolveSearch(spec JobSpec) (search.Space, search.Strategy, sea
 	}
 	if len(spec.Policies) > 0 {
 		sp.Policies = spec.Policies
-	}
-	if len(spec.RemapIntervals) > 0 {
-		sp.RemapIntervals = spec.RemapIntervals
 	}
 	if len(spec.QueueScales) > 0 {
 		sp.QueueScales = spec.QueueScales

@@ -67,7 +67,7 @@ func TestWriteJSONMatchesIndentingEncoder(t *testing.T) {
 	jt := telemetry.NewJobTrace(telemetry.NewTraceContext(), 8)
 	start := time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC)
 	jt.Add("", "admission", "server", start, start.Add(1500*time.Microsecond), map[string]string{"a": "<&>"})
-	front := []search.TrajectoryPoint{{Evaluations: 3, Config: "2M4+2M2", Policy: "<q>", Remap: 7,
+	front := []search.TrajectoryPoint{{Evaluations: 3, Config: "2M4+2M2", Policy: "<q>",
 		Values: metrics.Values{"ipc": 1.25, "area": 1e-7}}}
 	status := Status{ID: "job-000001", Kind: "run", RequestID: "r&d", State: "done", Progress: Progress{1, 1},
 		Created: "2026-01-02T03:04:05Z", Front: front, Hypervolume: 0.1 + 0.2}

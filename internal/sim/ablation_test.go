@@ -72,20 +72,6 @@ func TestRunAblations(t *testing.T) {
 	}
 }
 
-func TestRunDynamic(t *testing.T) {
-	r, err := RunDynamic(config.MustParse("2M4+2M2"), workload.MustByName("2W7"),
-		512, tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.StaticIPC <= 0 || r.DynamicIPC <= 0 {
-		t.Errorf("non-positive IPCs: %+v", r)
-	}
-	if r.Interval != 512 {
-		t.Errorf("interval = %d", r.Interval)
-	}
-}
-
 func TestFairnessMetrics(t *testing.T) {
 	cfg := config.MustParse("2M4+2M2")
 	w := workload.MustByName("2W7")

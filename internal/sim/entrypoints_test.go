@@ -64,8 +64,6 @@ func entryPointDigests(t *testing.T) map[string]string {
 		record("Run.sampled/"+probe, r, err)
 		r, err = RunReference(cfg, w, m, opt)
 		record("RunReference/"+probe, r, err)
-		d, err := RunDynamic(cfg, w, DefaultRemapInterval, opt)
-		record("RunDynamic/"+probe, d, err)
 		f, err := Fairness(cfg, w, m, opt)
 		record("Fairness/"+probe, f, err)
 	}
@@ -84,7 +82,7 @@ func entryPointDigests(t *testing.T) map[string]string {
 }
 
 // TestEntryPointsPinned pins the results of every way this package runs a
-// simulation — Run (exact and sampled), RunReference, RunDynamic, Fairness
+// simulation — Run (exact and sampled), RunReference, Fairness
 // and the Runner sweeps — to the SHA-256 of their JSON that
 // testdata/entrypoints.sha256 records, so a change to how a processor is
 // assembled that alters any simulated number fails here. On a mismatch

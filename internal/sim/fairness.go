@@ -89,17 +89,16 @@ func relativeSpeedups(shared, alone []float64) ([]float64, error) {
 }
 
 // AloneRequest builds the engine job measuring w's i-th benchmark alone on
-// cfg: the single thread on the machine's widest pipeline (the best case a
-// migration policy could give it), exact whatever opt.Sample says. The
+// cfg: the single thread on the machine's widest pipeline, exact whatever
+// opt.Sample says. The
 // warm-up is scaled by w's thread count: in the shared run the warm-up
 // phase lasts until the *slowest* thread retires its quota, so fast threads
 // enter measurement with far warmer caches and predictors than a plain
 // single-thread warm-up would give them, and the scaling keeps the two
 // measurements comparable at scaled budgets (at the paper's 300M scale the
-// difference vanishes). The request carries no fetch-policy override and
-// no remap interval — alone mode has no arbitration to police and nothing
-// to migrate — so every policy/remap variant of a machine shares one cached
-// alone baseline per benchmark.
+// difference vanishes). The request carries no fetch-policy override —
+// alone mode has no arbitration to police — so every policy variant of a
+// machine shares one cached alone baseline per benchmark.
 func AloneRequest(cfg config.Microarch, w workload.Workload, i int, opt Options) engine.Request {
 	name := w.Benchmarks[i]
 	aloneW := workload.Workload{Name: w.Name + "/" + name, Benchmarks: []string{name}, Type: w.Type}

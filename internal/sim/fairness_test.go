@@ -82,8 +82,8 @@ func TestFairnessSingleThread(t *testing.T) {
 	}
 }
 
-// TestAloneRequestSharedBaseline: the alone request ignores policy and
-// remap variants and scales the warm-up by the shared run's thread count,
+// TestAloneRequestSharedBaseline: the alone request ignores policy
+// variants and scales the warm-up by the shared run's thread count,
 // so every variant of one machine hits one cached baseline per benchmark.
 func TestAloneRequestSharedBaseline(t *testing.T) {
 	cfg := config.MustParse("2M4+2M2")
@@ -99,8 +99,8 @@ func TestAloneRequestSharedBaseline(t *testing.T) {
 	if len(req.Mapping) != 1 || req.Mapping[0] != 0 {
 		t.Errorf("alone mapping = %v, want the widest pipeline", req.Mapping)
 	}
-	if req.Policy != "" || req.Remap != 0 {
-		t.Errorf("alone request carries policy %q remap %d, want none", req.Policy, req.Remap)
+	if req.Policy != "" {
+		t.Errorf("alone request carries policy %q, want none", req.Policy)
 	}
 	if req.Key() != AloneRequest(cfg, w, 1, opt).Key() {
 		t.Error("alone request key must be stable")

@@ -34,8 +34,7 @@ func runFresh(t *testing.T, req engine.Request) core.Results {
 }
 
 // TestRecycledRunsMatchFresh runs a random sequence of cells — machines,
-// workloads, budgets, warm-ups, policies, dynamic remapping and sampled
-// runs — twice: each on the previous cell's processor (newProcessor with
+// workloads, budgets, warm-ups, policies and sampled runs — twice: each on the previous cell's processor (newProcessor with
 // the old one, as simulate does), and through simulate and its pool. Every
 // result must equal the one a freshly built processor gives.
 func TestRecycledRunsMatchFresh(t *testing.T) {
@@ -59,11 +58,7 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			opt = Options{Budget: 800, Sample: core.SampleParams{Period: 4_000, Detail: 400, Warm: 400}}
 		}
-		var remap uint64
-		if rng.Intn(4) == 0 {
-			remap = 1_000
-		}
-		req, err := NewRequest(cfg, w, opt, policies[rng.Intn(len(policies))], remap)
+		req, err := NewRequest(cfg, w, opt, policies[rng.Intn(len(policies))])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,8 +25,8 @@ import (
 //
 // A Runner is the only way to run a sweep: one-shot callers build one and
 // Close it; long-lived callers (cmd/hdsmtd, repeated sweeps) share one.
-// Single simulations outside the engine (Run, RunReference, RunDynamic,
-// Fairness) assemble their processor the same way, through newProcessor;
+// Single simulations outside the engine (Run, RunReference, Fairness)
+// assemble their processor the same way, through newProcessor;
 // runs through simulate (every engine job, Run, Fairness) recycle
 // processor storage.
 type Runner struct {
@@ -72,8 +72,7 @@ var testCoreOptions []core.Option
 
 // newProcessor assembles the processor one request describes: its
 // workload's threads on its configuration under its mapping, with the
-// request's warm-up, fetch-policy override and dynamic-remap interval,
-// then any extra options. It reuses old's storage (core.Renew; nil builds
+// request's warm-up and fetch-policy override, then any extra options. It reuses old's storage (core.Renew; nil builds
 // everything new) and is the package's only call into core construction,
 // so every entry point builds a simulation the same way.
 func newProcessor(old *core.Processor, req engine.Request, extra ...core.Option) (*core.Processor, error) {
@@ -91,9 +90,6 @@ func newProcessor(old *core.Processor, req engine.Request, extra ...core.Option)
 			return nil, err
 		}
 		opts = append(opts, core.WithPolicy(pol))
-	}
-	if req.Remap > 0 {
-		opts = append(opts, core.WithDynamicMapping(req.Remap, heuristicRemapper(req.Cfg)))
 	}
 	return core.Renew(old, req.Cfg, specs, req.Mapping, append(opts, extra...)...)
 }
@@ -189,12 +185,10 @@ func withSample(req engine.Request, opt Options) engine.Request {
 
 // NewRequest assembles the engine job for one design point: cfg on w under
 // the default (§2.1 heuristic) mapping, with an optional fetch-policy
-// override and an optional dynamic-remap interval. A policy equal to the
-// configuration's default is normalized to "" and a remap interval on a
-// monolithic configuration (where migration is meaningless) to 0, so
-// equivalent points share one cache key. Design-space searchers build
+// override. A policy equal to the configuration's default is normalized to
+// "", so equivalent points share one cache key. Design-space searchers build
 // their evaluation batches from it and submit via Engine().
-func NewRequest(cfg config.Microarch, w workload.Workload, opt Options, policy string, remap uint64) (engine.Request, error) {
+func NewRequest(cfg config.Microarch, w workload.Workload, opt Options, policy string) (engine.Request, error) {
 	if policy != "" {
 		if _, err := policyByName(policy); err != nil {
 			return engine.Request{}, err
@@ -207,9 +201,6 @@ func NewRequest(cfg config.Microarch, w workload.Workload, opt Options, policy s
 	req := withSample(newRequest(cfg, w, m, opt.Budget, opt.Warmup), opt)
 	if policy != "" && policy != defaultPolicyName(cfg) {
 		req.Policy = policy
-	}
-	if remap > 0 && !cfg.Monolithic {
-		req.Remap = remap
 	}
 	return req, nil
 }

@@ -185,20 +185,18 @@ func TestRunnerAblationsShareCache(t *testing.T) {
 }
 
 // TestNewRequestNormalization pins the design-point cache-key properties:
-// the default policy and a monolithic remap interval normalize away, so
-// equivalent points key (and therefore memoize) identically, while real
-// overrides key differently.
+// the default policy normalizes away, so equivalent points key (and
+// therefore memoize) identically, while real overrides key differently.
 func TestNewRequestNormalization(t *testing.T) {
 	opt := tinyOptions()
 	w := workload.MustByName("2W7")
 	multi := config.MustParse("2M4")
-	mono := config.MustParse("M8")
 
-	plain, err := NewRequest(multi, w, opt, "", 0)
+	plain, err := NewRequest(multi, w, opt, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defaulted, err := NewRequest(multi, w, opt, defaultPolicyName(multi), 0)
+	defaulted, err := NewRequest(multi, w, opt, defaultPolicyName(multi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,65 +207,15 @@ func TestNewRequestNormalization(t *testing.T) {
 		t.Errorf("default policy not normalized away: %q", defaulted.Policy)
 	}
 
-	monoRemap, err := NewRequest(mono, w, opt, "", 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if monoRemap.Remap != 0 {
-		t.Error("monolithic remap interval not normalized to 0")
-	}
-
-	overridden, err := NewRequest(multi, w, opt, "ICOUNT2.8", 0)
+	overridden, err := NewRequest(multi, w, opt, "ICOUNT2.8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if overridden.Key() == plain.Key() {
 		t.Error("policy override shares the default's key")
 	}
-	remapped, err := NewRequest(multi, w, opt, "", 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if remapped.Key() == plain.Key() {
-		t.Error("remap interval shares the static key")
-	}
-
-	if _, err := NewRequest(multi, w, opt, "NOPE", 0); err == nil {
+	if _, err := NewRequest(multi, w, opt, "NOPE"); err == nil {
 		t.Error("unknown policy must fail")
-	}
-}
-
-// TestRemapRequestRuns executes a dynamic-remap request through the engine
-// and checks it simulates (and keys) independently of the static run.
-func TestRemapRequestRuns(t *testing.T) {
-	r, err := NewRunner(engine.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	opt := tinyOptions()
-	w := workload.MustByName("2W7")
-	cfg := config.MustParse("2M4")
-
-	static, err := NewRequest(cfg, w, opt, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dyn, err := NewRequest(cfg, w, opt, "", 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := r.Engine().RunBatch(context.Background(), []engine.Request{static, dyn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.IPC <= 0 {
-			t.Errorf("request %d: IPC = %v, want positive", i, res.IPC)
-		}
-	}
-	if got := r.Stats().Executed; got != 2 {
-		t.Errorf("executed %d simulations, want 2 (remap keys separately)", got)
 	}
 }
 

@@ -46,8 +46,8 @@ type Options struct {
 	// include the sampling parameters, so sampled and exact runs of the
 	// same design point memoize separately. Run and Runner.Run honor it,
 	// as do the design-point requests of NewRequest; the sweeps (Evaluate,
-	// RunFigure, the ablations), RunReference, RunDynamic and the
-	// alone runs of Fairness and AloneRequest always run exact.
+	// RunFigure, the ablations), RunReference and the alone runs of
+	// Fairness and AloneRequest always run exact.
 	Sample core.SampleParams
 }
 
