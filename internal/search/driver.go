@@ -1,9 +1,11 @@
 package search
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -803,6 +805,9 @@ func saveArchive(path string, objectives []string, front []TrajectoryPoint) erro
 // their keys from the canonical configuration name, so a member the
 // strategy rediscovers deduplicates instead of re-entering. A hypervolume
 // trajectory point at evaluation 0 records the restored front's quality.
+// A field this version does not know fails the run: a member carrying a
+// machine axis it no longer has would otherwise restore as a different
+// machine holding the recorded machine's metrics.
 func (s *evalState) restoreArchive() error {
 	b, err := os.ReadFile(s.opts.ArchivePath)
 	if os.IsNotExist(err) {
@@ -812,8 +817,13 @@ func (s *evalState) restoreArchive() error {
 		return fmt.Errorf("search: reading archive: %w", err)
 	}
 	var pa persistedArchive
-	if err := json.Unmarshal(b, &pa); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&pa); err != nil {
 		return fmt.Errorf("search: parsing archive %s: %w", s.opts.ArchivePath, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("search: parsing archive %s: data after the archive", s.opts.ArchivePath)
 	}
 	if len(pa.Objectives) != len(s.res.Objectives) {
 		return fmt.Errorf("search: archive %s was built over objectives %v, this run uses %v",

@@ -100,6 +100,32 @@ func TestArchivePersistenceCorruptMember(t *testing.T) {
 	}
 }
 
+// TestArchiveUnknownFieldFails: a member recording a field this version
+// does not know — here the remap interval of a dynamic-mapping machine,
+// an axis the search no longer has — fails the run with the file named,
+// instead of restoring as the static machine carrying the dynamic one's
+// metrics. Trailing data after the archive fails it too.
+func TestArchiveUnknownFieldFails(t *testing.T) {
+	sp := smallSpace(t)
+	r := newTestRunner(t)
+	for _, tc := range []struct{ body, want string }{
+		{`{"objectives":["ipc","area"],"front":[{"evaluations":1,"config":"2M2","remap":2048,"values":{"ipc":0.5,"area":40}}]}`,
+			`unknown field "remap"`},
+		{`{"objectives":["ipc","area"],"front":[]} {}`, "data after the archive"},
+	} {
+		path := filepath.Join(t.TempDir(), "front.json")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := NewDriver(r).Search(context.Background(), sp, Random{}, Options{
+			Budget: 2, Seed: 1, Sim: testSimOptions(), Objectives: mustObjectives(t, "ipc,area"), ArchivePath: path,
+		})
+		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("archive %s: err = %v, want %q naming %s", tc.body, err, tc.want, path)
+		}
+	}
+}
+
 // TestArchivePathNeedsObjectives pins the scalar-run guard.
 func TestArchivePathNeedsObjectives(t *testing.T) {
 	sp := smallSpace(t)

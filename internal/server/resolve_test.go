@@ -1,11 +1,11 @@
 package server
 
 import (
-	"encoding/json"
+	"bytes"
 	"testing"
 )
 
-// FuzzJobSpec: any POST /jobs body that decodes into a JobSpec must
+// FuzzJobSpec: any POST /jobs body the submit decoder accepts must
 // validate without a panic — resolve either accepts the spec or returns
 // the error handleSubmit turns into a 400. The server has no archive
 // directory, so archive-backed pareto specs take the rejection path.
@@ -21,6 +21,8 @@ func FuzzJobSpec(f *testing.F) {
 		`{"kind":"search","strategy":"aco","search_budget":5,"workloads":["2W7"],"max_pipes":2,"enriched":true}`,
 		`{"kind":"pareto","search_budget":5,"objectives":["ipc","area"],"archive":"front"}`,
 		`{"kind":"run","config":"M8","workload":"2W1","timeout_sec":1e10}`,
+		// An unknown field: the submit decoder refuses it.
+		`{"kind":"search","remap_intervals":[2048],"strategy":"aco","search_budget":5,"workloads":["2W7"]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -29,8 +31,8 @@ func FuzzJobSpec(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var spec JobSpec
-		if json.Unmarshal(data, &spec) != nil {
+		spec, err := decodeSpec(bytes.NewReader(data))
+		if err != nil {
 			return
 		}
 		_, _, _, _ = s.resolve(spec)

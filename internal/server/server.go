@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -1090,6 +1091,18 @@ func tenantOf(r *http.Request) string {
 	return "anonymous"
 }
 
+// decodeSpec reads a submitted job spec. A field JobSpec does not have is
+// an error naming it: dropping it would run a different job than the one
+// asked for (an axis a search no longer has, a misspelled option) and
+// answer 202 all the same. Journal replay decodes leniently instead.
+func decodeSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.rejected.With("draining").Inc()
@@ -1098,8 +1111,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	spec, err := decodeSpec(r.Body)
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.rejected.With("body_too_large").Inc()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -226,6 +227,31 @@ func TestSharedCacheAcrossJobs(t *testing.T) {
 	getJSON(t, ts.URL+"/stats", &stats)
 	if stats.Executed != executed {
 		t.Errorf("resubmitted job executed %d new simulations, want 0", stats.Executed-executed)
+	}
+}
+
+// TestSubmitRejectsUnknownField: a spec field JobSpec does not have — the
+// remap axis searches no longer take, a misspelling — is a 400 naming it,
+// not a 202 for a job that silently ignores it. No job is created.
+func TestSubmitRejectsUnknownField(t *testing.T) {
+	ts, _ := newTestServer(t)
+	body := `{"kind":"search","remap_intervals":[2048],"strategy":"aco","search_budget":5,"workloads":["2W7"],"max_pipes":2}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var msg struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.Error, `"remap_intervals"`) {
+		t.Errorf("unknown field: %d %q, want 400 naming remap_intervals", resp.StatusCode, msg.Error)
+	}
+	var jobs []server.Status
+	getJSON(t, ts.URL+"/jobs", &jobs)
+	if len(jobs) != 0 {
+		t.Errorf("rejected spec left %d jobs", len(jobs))
 	}
 }
 

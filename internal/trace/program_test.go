@@ -169,24 +169,36 @@ func TestValidateRejectsNop(t *testing.T) {
 }
 
 // TestValidateRejectsTrap: a block the stream can enter from block 0 but
-// never leave for it again — here a self-jump — makes every later
-// instruction of the run repeat the same few PCs, so Validate refuses it.
+// never leave for it again — a self-jump, or a branch that is always
+// taken back to its own block — makes every later instruction of the run
+// repeat the same few PCs, so Validate refuses it.
 func TestValidateRejectsTrap(t *testing.T) {
 	const base = 0x1000
 	at := func(k int) uint64 { return base + uint64(k)*isa.InstrBytes }
 	alu := func(k int) StaticInst { return StaticInst{PC: at(k), Class: isa.IntALU} }
-	p := &Program{Name: "trap", Blocks: []*Block{
-		{Insts: []StaticInst{alu(0), {PC: at(1), Class: isa.Branch, Kind: BranchRandom, TakenProb: 0.5, Target: at(4)}}},
-		{Insts: []StaticInst{alu(2), {PC: at(3), Class: isa.Jump, Target: at(2)}}},
-		{Insts: []StaticInst{alu(4), {PC: at(5), Class: isa.Jump, Target: at(0)}}},
-	}}
-	err := p.Validate()
-	if err == nil || !strings.Contains(err.Error(), "block 1 ") {
-		t.Fatalf("Validate on a self-jump trap: %v, want an error naming block 1", err)
+	program := func(closer StaticInst) *Program {
+		return &Program{Name: "trap", Blocks: []*Block{
+			{Insts: []StaticInst{alu(0), {PC: at(1), Class: isa.Branch, Kind: BranchRandom, TakenProb: 0.5, Target: at(4)}}},
+			{Insts: []StaticInst{alu(2), closer}},
+			{Insts: []StaticInst{alu(4), {PC: at(5), Class: isa.Jump, Target: at(0)}}},
+		}}
 	}
-	p.Blocks[1].Insts[1].Target = at(4)
-	if err := p.Validate(); err != nil {
-		t.Fatalf("Validate after retargeting the trap's jump: %v", err)
+	for _, closer := range []StaticInst{
+		{PC: at(3), Class: isa.Jump, Target: at(2)},
+		{PC: at(3), Class: isa.Branch, Kind: BranchBiased, TakenProb: 1, Target: at(2)},
+	} {
+		err := program(closer).Validate()
+		if err == nil || !strings.Contains(err.Error(), "block 1 ") {
+			t.Errorf("Validate with block 1 closed by %+v: %v, want an error naming block 1", closer, err)
+		}
+	}
+	for _, exit := range []StaticInst{
+		{PC: at(3), Class: isa.Jump, Target: at(4)},
+		{PC: at(3), Class: isa.Branch, Kind: BranchBiased, TakenProb: 0.99, Target: at(2)},
+	} {
+		if err := program(exit).Validate(); err != nil {
+			t.Errorf("Validate with block 1 left by %+v: %v", exit, err)
+		}
 	}
 }
 
