@@ -269,10 +269,11 @@ func BuildProgram(g GenParams) (*Program, error) {
 
 	// A jump can close a set of blocks that the stream, once inside, never
 	// leaves for block 0 again. The highest-numbered block of such a set
-	// cannot fall through (its successor would be in the set), so it ends
-	// in the jump that closes the set: retarget that jump to the next
-	// block and look again. Each repair turns a backward jump into a
-	// forward one, so this ends; programs without a trap are unchanged.
+	// cannot fall through (its successor would be in the set), so its
+	// terminator — a jump, or a branch that is always taken — closes the
+	// set: retarget it to the next block and look again. Each repair turns
+	// a backward target into a forward one, so this ends; programs without
+	// a trap are unchanged.
 	for trapped := p.trapped(); len(trapped) > 0; trapped = p.trapped() {
 		last := trapped[len(trapped)-1]
 		insts := p.Blocks[last].Insts

@@ -256,11 +256,11 @@ func (p *Program) Validate() error {
 }
 
 // successors returns the indexes of the blocks control can pass to from
-// the end of block bi. A call counts as returning to the block after it;
-// a return counts as the underflow restart at block 0. A biased or random
-// branch contributes only the directions its probability allows, and a
-// loop branch both.
-func (p *Program) successors(bi int) []int {
+// the end of block bi, -1 for none. A call counts as returning to the
+// block after it; a return counts as the underflow restart at block 0. A
+// biased or random branch contributes only the directions its probability
+// allows, and a loop branch both.
+func (p *Program) successors(bi int) [2]int {
 	b := p.Blocks[bi]
 	term := &b.Insts[len(b.Insts)-1]
 	taken, falls := false, true
@@ -268,7 +268,7 @@ func (p *Program) successors(bi int) []int {
 	case isa.Jump:
 		taken, falls = true, false
 	case isa.Return:
-		return []int{0}
+		return [2]int{0, -1}
 	case isa.Branch:
 		if term.Kind == BranchLoop {
 			taken = term.Period > 1
@@ -276,14 +276,14 @@ func (p *Program) successors(bi int) []int {
 			taken, falls = term.TakenProb > 0, term.TakenProb < 1
 		}
 	}
-	var next []int
+	next := [2]int{-1, -1}
 	if taken {
 		if t, ok := p.blockIndex(term.Target); ok {
-			next = append(next, t)
+			next[0] = t
 		}
 	}
 	if falls && bi+1 < len(p.Blocks) {
-		next = append(next, bi+1)
+		next[1] = bi + 1
 	}
 	return next
 }
@@ -298,35 +298,53 @@ func (p *Program) blockIndex(pc uint64) (int, bool) {
 
 // trapped returns, in ascending order, the blocks the correct-path stream
 // can reach from block 0 but never leave for block 0 again: a stream that
-// enters one cycles through a fixed handful of blocks for the rest of the
-// run. Block 0 of a well-formed program is reachable from every block
-// reachable from it.
+// enters one stays among them for the rest of the run. Block 0 of a
+// well-formed program is reachable from every block reachable from it.
 func (p *Program) trapped() []int {
-	succ := make([][]int, len(p.Blocks))
-	pred := make([][]int, len(p.Blocks))
-	for bi := range p.Blocks {
+	n := len(p.Blocks)
+	succ := make([][2]int, n)
+	// Predecessor lists, packed: block v's are pred[first[v]:first[v+1]].
+	first := make([]int, n+2)
+	for bi := range succ {
 		succ[bi] = p.successors(bi)
-		for _, s := range succ[bi] {
-			pred[s] = append(pred[s], bi)
+		for _, v := range succ[bi] {
+			if v >= 0 {
+				first[v+2]++
+			}
 		}
 	}
-	reach := func(edges [][]int) []bool {
-		seen := make([]bool, len(p.Blocks))
+	for v := 2; v <= n+1; v++ {
+		first[v] += first[v-1]
+	}
+	pred := make([]int, first[n+1])
+	for bi, ss := range succ {
+		for _, v := range ss {
+			if v >= 0 {
+				pred[first[v+1]] = bi
+				first[v+1]++
+			}
+		}
+	}
+	// reach marks the blocks next reaches from block 0, transitively.
+	work := make([]int, 0, n)
+	reach := func(seen []bool, next func(b int) []int) {
 		seen[0] = true
-		work := []int{0}
+		work = append(work[:0], 0)
 		for len(work) > 0 {
 			b := work[len(work)-1]
 			work = work[:len(work)-1]
-			for _, n := range edges[b] {
-				if !seen[n] {
-					seen[n] = true
-					work = append(work, n)
+			for _, v := range next(b) {
+				if v >= 0 && !seen[v] {
+					seen[v] = true
+					work = append(work, v)
 				}
 			}
 		}
-		return seen
 	}
-	fromEntry, toEntry := reach(succ), reach(pred)
+	seen := make([]bool, 2*n)
+	fromEntry, toEntry := seen[:n], seen[n:]
+	reach(fromEntry, func(b int) []int { return succ[b][:] })
+	reach(toEntry, func(b int) []int { return pred[first[b]:first[b+1]] })
 	var out []int
 	for bi := range p.Blocks {
 		if fromEntry[bi] && !toEntry[bi] {
