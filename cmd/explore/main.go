@@ -14,8 +14,8 @@
 // The metaheuristic strategies (random, hillclimb, aco and their
 // proxy-seeded variants) walk the same space under an evaluation budget,
 // usually widened (-enriched or explicit axes) to fetch policy ×
-// issue-queue and decoupling-buffer sizing. A
-// fixed -seed reproduces a search exactly.
+// issue-queue and decoupling-buffer sizing. A fixed -seed reproduces a
+// search exactly.
 //
 // -objectives turns the run multi-objective (internal/pareto): the driver
 // keeps an archive of non-dominated machines, the multi-objective

@@ -31,7 +31,7 @@ func testRunner(t *testing.T) *Runner {
 	return r
 }
 
-// TestEonStreamNotTrapped: before the builder repaired trapping jumps,
+// TestEonStreamNotTrapped: before BuildProgram repaired trapping jumps,
 // eon's stream in 2W1 entered a four-block loop at instruction 27,946 and
 // executed its 40 instructions for the rest of any run. Well past that
 // point it must still cover a good part of the program.

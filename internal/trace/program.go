@@ -219,7 +219,7 @@ func (p *Program) BlockAt(pc uint64) (*Block, bool) {
 // without being able to return there. The core's issue selection relies on
 // the Nop rule: every other class needs its issue queue's one
 // functional-unit kind, so a ready-list scan may stop at the first entry
-// refused a unit. The builder's tests and testing/quick properties use it.
+// refused a unit. BuildProgram, its tests and testing/quick properties use it.
 func (p *Program) Validate() error {
 	if len(p.Blocks) == 0 {
 		return fmt.Errorf("trace: program %q has no blocks", p.Name)
