@@ -302,9 +302,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(committed)/b.Elapsed().Seconds(), "sim-instrs/s")
 }
 
-// BenchmarkProfilePass measures the offline profiling pass feeding HEUR:
-// every benchmark built and profiled over bench.ProfileLen instructions,
-// uncached, on one goroutine.
+// BenchmarkProfilePass measures the offline profiling walk that regenerates
+// the benchmark table's HEUR profiles (bench.Benchmark.L1DMisses): every
+// benchmark built and profiled over bench.ProfileLen instructions on one
+// goroutine. The simulator reads the table and never runs this walk.
 func BenchmarkProfilePass(b *testing.B) {
 	bs := bench.All()
 	b.ReportAllocs()

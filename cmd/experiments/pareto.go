@@ -31,7 +31,7 @@ type seedEntry struct {
 
 // paretoReport is BENCH_PR4.json: the multi-objective front machinery
 // exercised end to end — prior-seeded search efficiency on the small
-// space, the exhaustive (ipc, area) front of the 20,736-genotype enriched
+// space, the exhaustive (ipc, area) front of the 6,912-genotype enriched
 // space with the scalar optimum pinned onto it, budgeted NSGA-II and
 // Pareto-ACO hypervolume trajectories, and per-workload-class
 // specialization deltas.

@@ -33,7 +33,7 @@ func newBasket() (basket, error) {
 	b := basket{cfg: config.MustParse(perf.BasketConfig)}
 	for _, name := range perf.BasketWorkloads() {
 		w := workload.MustByName(name)
-		m, err := sim.HeuristicMapping(b.cfg, w) // also warms the profile cache
+		m, err := sim.HeuristicMapping(b.cfg, w)
 		if err != nil {
 			return basket{}, err
 		}

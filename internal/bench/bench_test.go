@@ -107,7 +107,7 @@ func TestClassSeparationInMissRates(t *testing.T) {
 	worstILP, worstILPName := uint64(0), ""
 	bestMEM, bestMEMName := ^uint64(0), ""
 	for _, b := range All() {
-		m, err := DCacheMisses(b, n)
+		m, err := CountDCacheMisses(b, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestMcfIsWorst(t *testing.T) {
 	// mcf is SPECint2000's canonical cache killer; the profiles must
 	// preserve that.
 	const n = 100_000
-	mcf, err := DCacheMisses(MustByName("mcf"), n)
+	mcf, err := CountDCacheMisses(MustByName("mcf"), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,28 +140,13 @@ func TestMcfIsWorst(t *testing.T) {
 		if b.Name == "mcf" {
 			continue
 		}
-		m, err := DCacheMisses(b, n)
+		m, err := CountDCacheMisses(b, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m >= mcf {
 			t.Errorf("%s misses %d >= mcf misses %d", b.Name, m, mcf)
 		}
-	}
-}
-
-func TestDCacheMissesMemoized(t *testing.T) {
-	b := MustByName("gzip")
-	m1, err := DCacheMisses(b, 50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := DCacheMisses(b, 50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1 != m2 {
-		t.Error("memoized profile changed")
 	}
 }
 

@@ -5,30 +5,26 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"slices"
-	"sync"
 	"testing"
 
 	"hdsmt/internal/isa"
 	"hdsmt/internal/trace"
 )
 
-// TestDCacheMissesPinned pins every benchmark's HEUR profile at ProfileLen.
-// The counts order the §2.1 thread list, so any change to the stream, the
-// profile walk or the L1D model that moves one changes HEUR mappings.
+// TestDCacheMissesPinned checks every benchmark's HEUR profile, its
+// L1DMisses table entry, against the profiling walk at ProfileLen. The
+// counts order the §2.1 thread list, so any change to the stream, the walk
+// or the L1D model that moves one changes HEUR mappings; the failure
+// prints the table line to paste.
 func TestDCacheMissesPinned(t *testing.T) {
-	want := map[string]uint64{
-		"gzip": 708, "vpr": 51280, "gcc": 1195, "mcf": 76395,
-		"crafty": 627, "parser": 6336, "eon": 482, "perlbmk": 39390,
-		"gap": 889, "vortex": 6076, "bzip2": 998, "twolf": 43744,
-	}
 	for _, b := range All() {
-		m, err := DCacheMisses(b, ProfileLen)
+		m, err := CountDCacheMisses(b, ProfileLen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m != want[b.Name] {
-			t.Errorf("%s: %d L1D misses over %d instructions, pinned %d", b.Name, m, ProfileLen, want[b.Name])
+		if m != b.L1DMisses {
+			t.Errorf("%s: %d L1D misses over %d instructions, table says %d; table line:\n\tmk(%q, %v, 0x%X, %d, func(p *trace.GenParams) {",
+				b.Name, m, ProfileLen, b.L1DMisses, b.Name, b.Class, b.Params.Seed, m)
 		}
 	}
 }
@@ -105,15 +101,6 @@ func TestProgramDigestsPinned(t *testing.T) {
 	}
 }
 
-// forgetProfile drops the memo entries of the given benchmarks at length n.
-func forgetProfile(n int, bs ...Benchmark) {
-	profileMu.Lock()
-	defer profileMu.Unlock()
-	for _, b := range bs {
-		delete(profiles, profileKey{b.Name, n})
-	}
-}
-
 // TestAdvanceMemMatchesNextInto: for every benchmark, Advance's memory
 // callback reports exactly the loads and stores a NextInto walk
 // materializes — class, sequence number and address, in order — with and
@@ -177,74 +164,5 @@ func TestAdvanceMemMatchesNextInto(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestDCacheMissesConcurrentFirstUse: goroutines that ask for the same
-// unprofiled benchmark at once all get its count, and the pass runs once.
-func TestDCacheMissesConcurrentFirstUse(t *testing.T) {
-	b := MustByName("vpr")
-	const n = 30_000
-	want, err := CountDCacheMisses(b, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forgetProfile(n, b)
-	before := profilePasses.Load()
-	got := make([]uint64, 8)
-	errs := make([]error, len(got))
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			got[i], errs[i] = DCacheMisses(b, n)
-		}()
-	}
-	close(start)
-	wg.Wait()
-	for i := range got {
-		if errs[i] != nil || got[i] != want {
-			t.Errorf("goroutine %d: %d, %v; want %d", i, got[i], errs[i], want)
-		}
-	}
-	if passes := profilePasses.Load() - before; passes != 1 {
-		t.Errorf("%d profile passes for one benchmark, want 1", passes)
-	}
-}
-
-// TestMissCounts: MissCounts returns each benchmark's memoized count in
-// order, profiling a benchmark listed twice once, and runs no pass when
-// every profile is memoized.
-func TestMissCounts(t *testing.T) {
-	const n = 20_000
-	bs := []Benchmark{MustByName("twolf"), MustByName("gzip"), MustByName("twolf"), MustByName("mcf")}
-	forgetProfile(n, bs...)
-	before := profilePasses.Load()
-	got, err := MissCounts(bs, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if passes := profilePasses.Load() - before; passes != 3 {
-		t.Errorf("%d profile passes for three distinct benchmarks, want 3", passes)
-	}
-	for i, b := range bs {
-		want, err := CountDCacheMisses(b, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i] != want {
-			t.Errorf("%s: MissCounts %d, CountDCacheMisses %d", b.Name, got[i], want)
-		}
-	}
-	before = profilePasses.Load()
-	again, err := MissCounts(bs, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if passes := profilePasses.Load() - before; passes != 0 || !slices.Equal(again, got) {
-		t.Errorf("memoized call ran %d passes and returned %v, want 0 and %v", passes, again, got)
 	}
 }

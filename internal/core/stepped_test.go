@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"hdsmt/internal/bench"
 	"hdsmt/internal/config"
 	"hdsmt/internal/mapping"
 	"hdsmt/internal/perf"
@@ -12,7 +11,8 @@ import (
 
 // basketCell builds one cell of the perf basket exactly as sim.Run does:
 // workload name's benchmarks on perf.BasketConfig under the §2.1 HEUR
-// mapping computed from their profiled data-cache misses.
+// mapping computed from their profiled data-cache misses (the benchmark
+// table's L1DMisses).
 func basketCell(t testing.TB, name string) (cfg config.Microarch, names []string, m []int) {
 	t.Helper()
 	bs, err := workload.MustByName(name).Resolve()
@@ -22,9 +22,7 @@ func basketCell(t testing.TB, name string) (cfg config.Microarch, names []string
 	misses := make([]uint64, len(bs))
 	for i, b := range bs {
 		names = append(names, b.Name)
-		if misses[i], err = bench.DCacheMisses(b, bench.ProfileLen); err != nil {
-			t.Fatal(err)
-		}
+		misses[i] = b.L1DMisses
 	}
 	cfg = config.MustParse(perf.BasketConfig)
 	if m, err = mapping.Heuristic(cfg.ForThreads(len(bs)), misses); err != nil {

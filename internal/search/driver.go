@@ -838,7 +838,7 @@ func (s *evalState) restoreArchive() error {
 	for _, tp := range pa.Front {
 		cand, err := candidateFromTrajectory(tp)
 		if err != nil {
-			return fmt.Errorf("search: restoring archive member %s: %w", tp.Name(), err)
+			return fmt.Errorf("search: restoring archive member %s in %s: %w", tp.Name(), s.opts.ArchivePath, err)
 		}
 		// A member missing an objective value is a corrupt or foreign file;
 		// fail the run, not the process (ObjectiveVector would panic).

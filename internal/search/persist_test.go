@@ -6,6 +6,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hdsmt/internal/config"
+	"hdsmt/internal/fetch"
+	"hdsmt/internal/metrics"
+	"hdsmt/internal/pareto"
 )
 
 // TestArchivePersistenceRoundTrip is the satellite persistence test: a
@@ -104,7 +109,10 @@ func TestArchivePersistenceCorruptMember(t *testing.T) {
 // does not know — here the remap interval of a dynamic-mapping machine,
 // an axis the search no longer has — fails the run with the file named,
 // instead of restoring as the static machine carrying the dynamic one's
-// metrics. Trailing data after the archive fails it too.
+// metrics. Trailing data after the archive fails it too, and so does a
+// policy no decode records: an unknown one, or the machine's default
+// spelled out, which would restore under a key the same machine found by
+// the search does not have.
 func TestArchiveUnknownFieldFails(t *testing.T) {
 	sp := smallSpace(t)
 	r := newTestRunner(t)
@@ -112,6 +120,10 @@ func TestArchiveUnknownFieldFails(t *testing.T) {
 		{`{"objectives":["ipc","area"],"front":[{"evaluations":1,"config":"2M2","remap":2048,"values":{"ipc":0.5,"area":40}}]}`,
 			`unknown field "remap"`},
 		{`{"objectives":["ipc","area"],"front":[]} {}`, "data after the archive"},
+		{`{"objectives":["ipc","area"],"front":[{"evaluations":1,"config":"2M2","policy":"RR","values":{"ipc":0.5,"area":40}}]}`,
+			`unknown policy "RR"`},
+		{`{"objectives":["ipc","area"],"front":[{"evaluations":1,"config":"2M2","policy":"L1MCOUNT","values":{"ipc":0.5,"area":40}}]}`,
+			"default"},
 	} {
 		path := filepath.Join(t.TempDir(), "front.json")
 		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
@@ -211,4 +223,64 @@ func TestFourObjectiveSearch(t *testing.T) {
 		}
 		last = hp.Hypervolume
 	}
+}
+
+// FuzzRestoreArchive: arbitrary archive file bytes, restored into a fresh
+// ipc/area search, must not panic. The restore either fails with an error
+// or leaves a mutually non-dominated front whose members all carry both
+// objective values and a policy a decode could record, and it opens the
+// hypervolume trajectory exactly when it restored a member.
+func FuzzRestoreArchive(f *testing.F) {
+	objs, err := pareto.Parse("ipc,area")
+	if err != nil {
+		f.Fatal(err)
+	}
+	saved := filepath.Join(f.TempDir(), "front.json")
+	if err := saveArchive(saved, pareto.Keys(objs), []TrajectoryPoint{
+		{Evaluations: 1, Config: "2M2", Values: metrics.Values{"ipc": 0.9, "area": 30}},
+		{Evaluations: 4, Config: "2M4+2M2", Policy: "FLUSH", Values: metrics.Values{"ipc": 1.6, "area": 52, "fairness": 0.7}},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	b, err := os.ReadFile(saved)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	f.Add([]byte(`{"objectives":["ipc","area"],"front":[{"evaluations":1,"config":"2M2","remap":2048,"values":{"ipc":0.5,"area":40}}]}`))
+	f.Add([]byte(`{"objectives":["ipc","area"],"front":[{"evaluations":1,"config":"2M2","values":{"ipc":0.5}}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "front.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := &evalState{
+			opts:    Options{ArchivePath: path},
+			res:     &Result{Objectives: pareto.Keys(objs)},
+			objs:    objs,
+			archive: pareto.NewArchive(objs, 0),
+		}
+		if err := s.restoreArchive(); err != nil {
+			return
+		}
+		front := s.front()
+		if err := CheckFront(objs, front); err != nil {
+			t.Fatal(err)
+		}
+		for _, tp := range front {
+			cfg, err := config.Parse(tp.Config)
+			if err != nil {
+				t.Fatalf("restored member %s: %v", tp.Name(), err)
+			}
+			if _, err := fetch.ByName(tp.Policy); tp.Policy != "" && (err != nil || tp.Policy == fetch.ForConfig(cfg.Monolithic).Name()) {
+				t.Fatalf("restored member %s has a policy no decode records", tp.Name())
+			}
+		}
+		if opened := len(s.res.Hypervolume) == 1 && s.res.Hypervolume[0].Evaluations == 0; opened != (s.res.RestoredFront > 0) {
+			t.Fatalf("restored %d members, hypervolume trajectory %+v", s.res.RestoredFront, s.res.Hypervolume)
+		}
+		if s.res.RestoredFront > 0 && len(front) == 0 {
+			t.Fatalf("restored %d members into an empty front", s.res.RestoredFront)
+		}
+	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"hdsmt/internal/config"
 	"hdsmt/internal/core"
+	"hdsmt/internal/fetch"
 	"hdsmt/internal/metrics"
 	"hdsmt/internal/workload"
 )
@@ -133,11 +134,22 @@ func (d *Driver) scorePoint(ctx context.Context, sp *Space, tp TrajectoryPoint, 
 
 // candidateFromTrajectory rebuilds the decoded candidate a trajectory or
 // front point records: configuration names round-trip through config.Parse
-// (scaled suffixes included), and the area model re-prices the machine.
+// (scaled suffixes included), and the area is the point's recorded metric.
+// The policy must be one a decode records: a known policy other than the
+// machine's default, which decodes to "" so that it shares the machine's
+// key.
 func candidateFromTrajectory(tp TrajectoryPoint) (Candidate, error) {
 	cfg, err := config.Parse(tp.Config)
 	if err != nil {
 		return Candidate{}, err
+	}
+	if tp.Policy != "" {
+		if _, err := fetch.ByName(tp.Policy); err != nil {
+			return Candidate{}, err
+		}
+		if tp.Policy == fetch.ForConfig(cfg.Monolithic).Name() {
+			return Candidate{}, fmt.Errorf("search: policy %s is %s's default, which a candidate records as empty", tp.Policy, cfg.Name)
+		}
 	}
 	return Candidate{Cfg: cfg, Policy: tp.Policy, Area: tp.Metric("area")}, nil
 }

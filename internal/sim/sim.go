@@ -173,13 +173,18 @@ func WidthFitMapping(cfg config.Microarch, w workload.Workload) (mapping.Mapping
 }
 
 // profile returns the HEUR profile of w's threads, in thread order: each
-// benchmark's L1D misses over bench.ProfileLen instructions.
+// benchmark's L1D misses over bench.ProfileLen instructions, as its table
+// entry records them.
 func profile(w workload.Workload) ([]uint64, error) {
 	bs, err := w.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	return bench.MissCounts(bs, bench.ProfileLen)
+	misses := make([]uint64, len(bs))
+	for i, b := range bs {
+		misses[i] = b.L1DMisses
+	}
+	return misses, nil
 }
 
 // Measurement is one (configuration, workload) cell of Figs. 4/5: the

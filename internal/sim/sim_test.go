@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -112,6 +114,27 @@ func TestHeuristicMappingUsesProfiles(t *testing.T) {
 	}
 	if cfg.Pipelines[twolfPipe].Width > cfg.Pipelines[gzipPipe].Width {
 		t.Errorf("mapping %v: twolf on a wider pipeline than gzip", m)
+	}
+}
+
+// TestHeuristicMappingsPinned pins DefaultMapping for every Table 2/3
+// workload on every evaluated configuration as one SHA-256: any change to
+// the HEUR profiles, their source or the §2.1 policy that moves a single
+// thread's pipeline fails here.
+func TestHeuristicMappingsPinned(t *testing.T) {
+	const want = "5da55af3ceb061a9759cadce827e18a18157cd4e3d49a249c981416b22de25af"
+	h := sha256.New()
+	for _, cfg := range config.EvaluatedMicroarchs() {
+		for _, w := range workload.All() {
+			m, err := DefaultMapping(cfg, w)
+			if err != nil {
+				t.Fatalf("%s %s: %v", cfg, w.Name, err)
+			}
+			fmt.Fprintf(h, "%s %s %v\n", cfg, w.Name, m)
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("HEUR mappings digest %s, pinned %s", got, want)
 	}
 }
 

@@ -281,7 +281,7 @@ func BuildProgram(g GenParams) (*Program, error) {
 	}
 
 	p.finalize()
-	if err := p.Validate(); err != nil {
+	if err := p.validateStructure(); err != nil {
 		return nil, err
 	}
 	return p, nil

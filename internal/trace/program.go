@@ -219,8 +219,22 @@ func (p *Program) BlockAt(pc uint64) (*Block, bool) {
 // without being able to return there. The core's issue selection relies on
 // the Nop rule: every other class needs its issue queue's one
 // functional-unit kind, so a ready-list scan may stop at the first entry
-// refused a unit. BuildProgram, its tests and testing/quick properties use it.
+// refused a unit. Tests and testing/quick properties use it; BuildProgram,
+// whose repair loop already ends on an empty trapped(), checks only the
+// structure.
 func (p *Program) Validate() error {
+	if err := p.validateStructure(); err != nil {
+		return err
+	}
+	if trapped := p.trapped(); len(trapped) > 0 {
+		return fmt.Errorf("trace: program %q: block %d is reachable from block 0 but cannot return to it",
+			p.Name, trapped[0])
+	}
+	return nil
+}
+
+// validateStructure is Validate without the trap check.
+func (p *Program) validateStructure() error {
 	if len(p.Blocks) == 0 {
 		return fmt.Errorf("trace: program %q has no blocks", p.Name)
 	}
@@ -247,10 +261,6 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("trace: %#x targets %#x which is not a block start", in.PC, in.Target)
 			}
 		}
-	}
-	if trapped := p.trapped(); len(trapped) > 0 {
-		return fmt.Errorf("trace: program %q: block %d is reachable from block 0 but cannot return to it",
-			p.Name, trapped[0])
 	}
 	return nil
 }
